@@ -72,7 +72,6 @@ class UsageError(Exception):
 class CliConfig:
     store_dir: Path
     output: str
-    threads: int
     seed: int
     no_timestamp: bool
 
@@ -276,9 +275,9 @@ def cmd_haight_search(args, cfg: CliConfig) -> int:
         max_set_size=args.max_set_size,
     )
     if args.mode == "exhaustive":
-        witnesses = exhaustive_search(search_cfg, threads=cfg.threads)
+        witnesses = exhaustive_search(search_cfg)
     else:
-        witnesses = stochastic_search(search_cfg, threads=cfg.threads)
+        witnesses = stochastic_search(search_cfg)
     producer = _producer(
         cfg, mode=args.mode, budget=search_cfg.budget, k=args.k, seed=search_cfg.seed
     )
@@ -455,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"result store directory (default: ${STORE_DIR_ENV} or ./{DEFAULT_STORE_DIR})",
     )
     parser.add_argument("--output", choices=("table", "structured"), default="table")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     parser.add_argument("--seed", type=int, default=0, help="default search seed")
     parser.add_argument(
         "--no-timestamp", action="store_true", help="record created_at=0 (reproducible output)"
@@ -561,7 +562,6 @@ def main(argv: list[str] | None = None) -> int:
     cfg = CliConfig(
         store_dir=Path(args.store_dir),
         output=args.output,
-        threads=max(1, args.threads),
         seed=args.seed,
         no_timestamp=args.no_timestamp,
     )

@@ -10,6 +10,7 @@ Text literal for sets: ``"n:{a,b,c}"``, e.g. ``"7:{0,1,3}"``.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
@@ -21,6 +22,12 @@ MAX_MODULUS = 1 << 20
 CANONICAL_MAX_MODULUS = 512
 
 _LITERAL_RE = re.compile(r"^\s*(\d+)\s*:\s*\{([^{}]*)\}\s*$")
+
+# Z_n per modulus, shared while anything holds it.  Full results are common
+# (fullness is absorbing), so callers that keep many results pay for one
+# mask per modulus.  Weak references keep the masks from outliving their
+# users; a dead entry costs one weak reference per modulus ever used.
+_FULL_SETS: dict[int, weakref.ref] = {}
 
 
 class ModulusMismatchError(ValueError):
@@ -99,7 +106,13 @@ class CyclicSet:
 
     @classmethod
     def full(cls, modulus: int) -> "CyclicSet":
-        return cls(modulus, (1 << modulus) - 1)
+        """Z_n; one shared instance per modulus while any caller holds it."""
+        ref = _FULL_SETS.get(modulus)
+        full = ref() if ref is not None else None
+        if full is None:
+            full = cls(modulus, (1 << modulus) - 1)
+            _FULL_SETS[modulus] = weakref.ref(full)
+        return full
 
     @classmethod
     def empty(cls, modulus: int) -> "CyclicSet":
@@ -161,10 +174,9 @@ class CyclicSet:
     def negate(self) -> "CyclicSet":
         """{-a mod n : a in A}; an involution."""
         n = self.modulus
-        mask = 0
-        for a in self.members():
-            mask |= 1 << ((n - a) % n)
-        return CyclicSet(n, mask)
+        # bit reversal maps r to n-1-r; rotating by one then gives n-r mod n
+        reversed_mask = int(format(self.mask, f"0{n}b")[::-1], 2)
+        return CyclicSet(n, rotate_mask(reversed_mask, 1, n))
 
     def affine_apply(self, f: AffineMap) -> "CyclicSet":
         """Pointwise image under f; cardinality is preserved (f is a bijection)."""

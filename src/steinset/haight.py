@@ -20,11 +20,10 @@ reproduce exactly from (seed, budget, n_range).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
-from .groups import CyclicSet
+from .groups import CANONICAL_MAX_MODULUS, CyclicSet
 from .sumsets import iterated_sumset, signed_product_counts
 
 # Exhaustive enumeration is refused beyond this modulus: the candidate
@@ -109,9 +108,9 @@ def verify_witness(w: HaightWitness) -> tuple[bool, str | None]:
         return False, "witness set is empty"
     if not 0 <= w.certificate < w.modulus:
         return False, f"certificate {w.certificate} out of range for modulus {w.modulus}"
-    if not signed_product_counts(w.subset, 1, 1).is_full():
-        missing = signed_product_counts(w.subset, 1, 1).deficiency()[0]
-        return False, f"difference set not full (missing {missing})"
+    differences = signed_product_counts(w.subset, 1, 1)
+    if not differences.is_full():
+        return False, f"difference set not full (missing {differences.deficiency()[0]})"
     if w.certificate in iterated_sumset(w.subset, w.k):
         return False, "certificate present in kA"
     return True, None
@@ -134,6 +133,12 @@ class SearchConfig:
             raise ValueError(f"bad modulus range {self.n_range}")
         if self.mode not in ("exhaustive", "stochastic"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "stochastic" and hi > CANONICAL_MAX_MODULUS:
+            # every witness found is reduced by canonical_form, which is capped
+            raise ValueError(
+                f"stochastic modulus range {self.n_range} exceeds canonical cap "
+                f"{CANONICAL_MAX_MODULUS}"
+            )
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if self.max_set_size is not None and self.max_set_size < 1:
@@ -195,21 +200,17 @@ def exhaustive_search(cfg: SearchConfig, threads: int = 1) -> list[HaightWitness
     """Every witness class in n_range, canonically deduplicated and sorted.
 
     Deterministic; result is sorted by (modulus, canonical mask).
+    ``threads`` is accepted for compatibility and has no effect: the scan
+    is pure-Python work, which threads cannot overlap under the GIL.
     """
     if cfg.mode != "exhaustive":
         raise ValueError(f"config mode is {cfg.mode!r}, expected 'exhaustive'")
     lo, hi = cfg.n_range
     if hi > EXHAUSTIVE_CAP:
         raise ValueError(f"modulus range {cfg.n_range} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    moduli = range(lo, hi + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_n = list(pool.map(lambda n: _scan_modulus(n, cfg.k, cfg.max_set_size), moduli))
-    else:
-        per_n = [_scan_modulus(n, cfg.k, cfg.max_set_size) for n in moduli]
     out: list[HaightWitness] = []
-    for chunk in per_n:
-        out.extend(chunk)
+    for n in range(lo, hi + 1):
+        out.extend(_scan_modulus(n, cfg.k, cfg.max_set_size))
     return out
 
 
@@ -290,19 +291,15 @@ def stochastic_search(cfg: SearchConfig, threads: int = 1) -> list[HaightWitness
     The budget caps candidate evaluations per modulus, so per-modulus
     streams are independent and the merged result does not depend on
     traversal order.  Every returned witness passes verify_witness.
+    ``threads`` is accepted for compatibility and has no effect, as in
+    exhaustive_search.
     """
     if cfg.mode != "stochastic":
         raise ValueError(f"config mode is {cfg.mode!r}, expected 'stochastic'")
     lo, hi = cfg.n_range
-    moduli = range(lo, hi + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_n = list(pool.map(lambda n: _stochastic_modulus(n, cfg), moduli))
-    else:
-        per_n = [_stochastic_modulus(n, cfg) for n in moduli]
     out: list[HaightWitness] = []
-    for chunk in per_n:
-        for w in chunk:
+    for n in range(lo, hi + 1):
+        for w in _stochastic_modulus(n, cfg):
             ok, reason = verify_witness(w)
             if not ok:  # unreachable unless the search itself is broken
                 raise AssertionError(f"search produced an invalid witness: {reason}")

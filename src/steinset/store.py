@@ -19,7 +19,6 @@ strings, so records are byte-stable.
 from __future__ import annotations
 
 import json
-import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,8 +29,6 @@ from .haight import HaightWitness, verify_witness
 from .sumsets import iterated_sumset
 from .thick import xi_sequence
 from .verdicts import SeqSpec, Verdict, eps_verdict, pm_verdict, sym_verdict
-
-log = logging.getLogger(__name__)
 
 
 class StoreVerificationError(ValueError):
@@ -228,7 +225,12 @@ class WitnessStore:
                 )
                 key = _dedup_key(record.kind, record.payload)
             except (ValueError, KeyError, TypeError) as exc:
-                log.warning("skipping malformed store line %d: %s", lineno, exc)
+                # imported here: logging costs every process about 0.25 MB
+                import logging
+
+                logging.getLogger(__name__).warning(
+                    "skipping malformed store line %d: %s", lineno, exc
+                )
                 self.malformed_lines += 1
                 continue
             if key in self._positions:

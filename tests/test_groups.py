@@ -8,6 +8,7 @@ from steinset.groups import (
     AffineMap,
     CyclicSet,
     EmptySetError,
+    MAX_MODULUS,
     ModulusMismatchError,
     all_affine_maps,
     rotate_mask,
@@ -75,6 +76,18 @@ def test_negate_examples():
         7, [0, 4, 6]
     )
     assert CyclicSet.full(6).negate() == CyclicSet.full(6)
+
+
+def test_negate_edge_cases_match_oracle():
+    rng = random.Random(21)
+    sets = [CyclicSet.empty(9), CyclicSet.full(9), CyclicSet.empty(1), CyclicSet.full(1)]
+    for _ in range(200):
+        n = rng.randrange(1, 300)
+        sets.append(CyclicSet(n, rng.randrange(1 << n)))
+    big = rng.sample(range(MAX_MODULUS), 500) + [0, 1, MAX_MODULUS - 1]
+    sets.append(CyclicSet.from_members(MAX_MODULUS, big))
+    for a in sets:
+        assert set(a.negate().members()) == naive_negate(set(a.members()), a.modulus)
 
 
 def test_affine_examples():

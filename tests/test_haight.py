@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from steinset.groups import AffineMap, CyclicSet
+from steinset.groups import CANONICAL_MAX_MODULUS, AffineMap, CyclicSet
 from steinset.haight import (
     EXHAUSTIVE_CAP,
     HaightWitness,
@@ -203,6 +203,15 @@ def test_stochastic_threads_do_not_change_results():
         threads=4,
     )
     assert plain == threaded
+
+
+def test_stochastic_range_beyond_canonical_cap_rejected():
+    cap = CANONICAL_MAX_MODULUS
+    SearchConfig(k=2, n_range=(cap, cap), mode="stochastic")
+    with pytest.raises(ValueError, match="canonical cap"):
+        SearchConfig(k=2, n_range=(cap - 1, cap + 1), mode="stochastic")
+    # exhaustive mode has its own, lower cap, checked by exhaustive_search
+    SearchConfig(k=2, n_range=(cap + 1, cap + 1))
 
 
 def test_mode_mismatch_rejected():

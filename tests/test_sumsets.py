@@ -3,8 +3,10 @@ from itertools import product
 
 import pytest
 
+from steinset import sumsets
 from steinset.groups import CyclicSet, EmptySetError, ModulusMismatchError
 from steinset.sumsets import (
+    CONVOLUTION_FACTOR,
     iterated_sumset,
     pm_product,
     sign_count_classes,
@@ -192,3 +194,79 @@ def test_convolution_kernel_handles_modulus_one():
     one = CyclicSet.full(1)
     assert sumset_convolution(one, one) == one
     assert sumset_shift_or(one, one) == one
+
+
+def _both_kernels(a, b):
+    return sumset_shift_or(a, b), sumset_convolution(a, b)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_convolution_field_width_on_full_group(n):
+    # A = B = Z_n puts min(n, 256)-sized coefficients right at the byte boundary
+    full = CyclicSet.full(n)
+    assert _both_kernels(full, full) == (full, full)
+
+
+@pytest.mark.parametrize("size", [255, 256])
+def test_convolution_field_width_on_dense_sets(size):
+    rng = random.Random(size)
+    n = 700
+    # an interval reaches the largest coefficient, |A| = |B| = size
+    interval = list(range(size))
+    scattered = rng.sample(range(n), size)
+    for a_mem, b_mem in ((interval, interval), (interval, scattered), (scattered, scattered)):
+        a, b = cs(n, a_mem), cs(n, b_mem)
+        expected = cs(n, naive_sumset(a_mem, b_mem, n))
+        assert _both_kernels(a, b) == (expected, expected)
+
+
+def test_kernels_on_tiny_moduli_and_aliased_operands():
+    for n in (1, 2):
+        for ma in range(1, 1 << n):
+            for mb in range(1, 1 << n):
+                a, b = CyclicSet(n, ma), CyclicSet(n, mb)
+                expected = cs(n, naive_sumset(a.members(), b.members(), n))
+                assert _both_kernels(a, b) == (expected, expected)
+    rng = random.Random(15)
+    for n in (1, 2, 7, 300):
+        a = cs(n, random_nonempty_members(rng, n))
+        expected = cs(n, naive_sumset(a.members(), a.members(), n))
+        assert _both_kernels(a, a) == (expected, expected)
+        assert sumset(a, a) == expected
+
+
+# (n, largest m sent to shift-or): m > w*n/F + F with w = 1, 1, 2 bytes
+@pytest.mark.parametrize("n,last_shift_or", [(16, 10), (1000, 133), (4097, 1032)])
+def test_dispatch_threshold(n, last_shift_or, monkeypatch):
+    assert CONVOLUTION_FACTOR == 8
+    calls = []
+    monkeypatch.setattr(
+        sumsets,
+        "sumset_convolution",
+        lambda a, b: calls.append((a, b)) or sumset_convolution(a, b),
+    )
+    rng = random.Random(n)
+    for size, uses_convolution in ((last_shift_or, False), (last_shift_or + 1, True)):
+        a_mem = rng.sample(range(n), size)
+        b_mem = rng.sample(range(n), max(size, n // 2))
+        calls.clear()
+        got = sumset(cs(n, a_mem), cs(n, b_mem))
+        assert members(got) == naive_sumset(a_mem, b_mem, n)
+        assert bool(calls) == uses_convolution
+
+
+def test_full_results_are_the_shared_full_set():
+    n = 300
+    full = CyclicSet.full(n)
+    pair = cs(n, [0, 1])
+    half = cs(n, range(n // 2 + 1))  # |A| > n/2 forces A + A = Z_n
+    results = [
+        sumset_shift_or(full, pair),
+        sumset_convolution(full, pair),
+        sumset(half, half),
+        iterated_sumset(half, 5),
+        signed_product_counts(half, 1, 1),
+    ]
+    assert all(r is full for r in results)
+    assert CyclicSet.full(n) is full
+    assert sumset(pair, pair) == cs(n, [0, 1, 2])
