@@ -46,14 +46,13 @@ from .thick import (
     ThickFamilySpec,
     independence_check,
     thick_intervals,
-    xi_sequence,
 )
 from .verdicts import (
+    VERDICTS,
     NotSymmetricError,
     SeqSpec,
     Verdict,
     WitnessChainError,
-    eps_verdict,
     example_family_c2n1,
     pm_verdict,
     sym_verdict,
@@ -118,17 +117,6 @@ def emit(cfg: CliConfig, obj: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _verdict_obj(v: Verdict) -> dict:
-    out: dict = {"holds": v.holds}
-    if v.holds:
-        out["k0"] = v.k0
-        if v.sign_class is not None:
-            out["sign_class"] = list(v.sign_class)
-    else:
-        out["witnesses"] = list(v.witnesses)
-    return out
-
-
 def _verdict_lines(v: Verdict) -> list[str]:
     if v.holds:
         lines = [f"verdict: Holds (k0={v.k0})"]
@@ -184,40 +172,22 @@ def cmd_pm(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _run_verdict(args, cfg: CliConfig, op: str) -> int:
+def cmd_verdict(args, cfg: CliConfig) -> int:
+    op = args.op
     spec = _parse_literal(SeqSpec.parse, args.spec)
-    if op == "eps":
-        param = parse_signs(args.eps)
-        verdict = eps_verdict(spec, param)
-    elif op == "pm":
-        param = args.m
-        verdict = pm_verdict(spec, args.m)
-    else:
-        param = args.m
-        verdict = sym_verdict(spec, args.m)
+    param = parse_signs(args.eps) if op == "eps" else args.m
+    verdict = VERDICTS[op](spec, param)
     obj = {
         "command": f"verdict-{op}",
         "spec": spec.to_literal(),
-        ("eps" if op == "eps" else "m"): (list(param) if op == "eps" else param),
-        **_verdict_obj(verdict),
+        **({"eps": list(param)} if op == "eps" else {"m": param}),
+        **verdict.to_json_obj(),
     }
     emit(cfg, obj, _verdict_lines(verdict))
-    if getattr(args, "store", False):
+    if args.store:
         record = make_verdict_record(op, spec, param, verdict, producer=_producer(cfg), created_at=cfg.timestamp())
         cfg.open_store().append(record)
     return 0
-
-
-def cmd_verdict_eps(args, cfg: CliConfig) -> int:
-    return _run_verdict(args, cfg, "eps")
-
-
-def cmd_verdict_pm(args, cfg: CliConfig) -> int:
-    return _run_verdict(args, cfg, "pm")
-
-
-def cmd_verdict_sym(args, cfg: CliConfig) -> int:
-    return _run_verdict(args, cfg, "sym")
 
 
 def cmd_example_c2n1(args, cfg: CliConfig) -> int:
@@ -230,9 +200,9 @@ def cmd_example_c2n1(args, cfg: CliConfig) -> int:
         "n": n,
         "spec": spec.to_literal(),
         "sym_m": n,
-        "sym": _verdict_obj(holds),
+        "sym": holds.to_json_obj(),
         "pm_m": n - 1,
-        "pm": _verdict_obj(fails),
+        "pm": fails.to_json_obj(),
     }
     lines = [
         f"family: {spec.to_literal()}",
@@ -355,13 +325,11 @@ def cmd_haight_minimal(args, cfg: CliConfig) -> int:
 
 
 def cmd_lemma1_xi(args, cfg: CliConfig) -> int:
-    xi, big_xi = xi_sequence(args.m)
-    obj = {"command": "lemma1-xi", "m": args.m, "xi": xi, "Xi": str(big_xi)}
-    emit(cfg, obj, [f"xi({args.m}) = {xi}", f"Xi({args.m}) = {big_xi}"])
+    record = make_xi_record(args.m, producer=_producer(cfg), created_at=cfg.timestamp())
+    p = record.payload
+    emit(cfg, {"command": "lemma1-xi", **p}, [f"xi({p['m']}) = {p['xi']}", f"Xi({p['m']}) = {p['Xi']}"])
     if args.store:
-        cfg.open_store().append(
-            make_xi_record(args.m, producer=_producer(cfg), created_at=cfg.timestamp())
-        )
+        cfg.open_store().append(record)
     return 0
 
 
@@ -483,23 +451,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.set_defaults(func=cmd_pm)
 
-    p = sub.add_parser("verdict-eps", help="eventual fullness along a sign vector")
-    p.add_argument("spec")
-    p.add_argument("eps")
-    p.add_argument("--store", action="store_true")
-    p.set_defaults(func=cmd_verdict_eps)
-
-    p = sub.add_parser("verdict-pm", help="eventual fullness of some sign-count class")
-    p.add_argument("spec")
-    p.add_argument("m", type=int)
-    p.add_argument("--store", action="store_true")
-    p.set_defaults(func=cmd_verdict_pm)
-
-    p = sub.add_parser("verdict-sym", help="eventual fullness of the m-fold sumset (symmetric entries)")
-    p.add_argument("spec")
-    p.add_argument("m", type=int)
-    p.add_argument("--store", action="store_true")
-    p.set_defaults(func=cmd_verdict_sym)
+    for op, help_text in (
+        ("eps", "eventual fullness along a sign vector"),
+        ("pm", "eventual fullness of some sign-count class"),
+        ("sym", "eventual fullness of the m-fold sumset (symmetric entries)"),
+    ):
+        p = sub.add_parser(f"verdict-{op}", help=help_text)
+        p.add_argument("spec")
+        if op == "eps":
+            p.add_argument("eps")
+        else:
+            p.add_argument("m", type=int)
+        p.add_argument("--store", action="store_true")
+        p.set_defaults(func=cmd_verdict, op=op)
 
     p = sub.add_parser("example-c2n1", help="the {-1,0,1} mod 2n+1 family and its two verdicts")
     p.add_argument("n", type=int)

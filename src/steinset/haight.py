@@ -153,7 +153,8 @@ def _min_cardinality_for_full_difference(n: int) -> int:
     return t
 
 
-def _canonical_witness(k: int, canonical_set: CyclicSet) -> HaightWitness:
+def canonical_witness(k: int, canonical_set: CyclicSet) -> HaightWitness:
+    """The stored form of a witness class: its canonical set and least certificate."""
     cert = iterated_sumset(canonical_set, k).deficiency()[0]
     return HaightWitness(k=k, subset=canonical_set, certificate=cert)
 
@@ -193,7 +194,7 @@ def _scan_modulus(n: int, k: int, max_set_size: int | None) -> list[HaightWitnes
             continue
         canon = a.canonical_form()
         found.setdefault(canon.mask, canon)
-    return [_canonical_witness(k, found[m]) for m in sorted(found)]
+    return [canonical_witness(k, found[m]) for m in sorted(found)]
 
 
 def exhaustive_search(cfg: SearchConfig, threads: int = 1) -> list[HaightWitness]:
@@ -248,9 +249,7 @@ def _stochastic_modulus(n: int, cfg: SearchConfig) -> list[HaightWitness]:
 
     if (1 << max(n - 1, 0)) <= budget:
         # whole mask space fits in the budget: cover it exhaustively
-        for w in _scan_modulus(n, cfg.k, cfg.max_set_size):
-            found.setdefault(w.subset.mask, w.subset)
-        return [_canonical_witness(cfg.k, found[m]) for m in sorted(found)]
+        return _scan_modulus(n, cfg.k, cfg.max_set_size)
 
     rng = Xorshift64Star(modulus_stream_seed(cfg.seed, n))
     evals = 0
@@ -282,7 +281,7 @@ def _stochastic_modulus(n: int, cfg: SearchConfig) -> list[HaightWitness]:
             if best_mask is None:
                 break
             mask, current = best_mask, best_score
-    return [_canonical_witness(cfg.k, found[m]) for m in sorted(found)]
+    return [canonical_witness(cfg.k, found[m]) for m in sorted(found)]
 
 
 def stochastic_search(cfg: SearchConfig, threads: int = 1) -> list[HaightWitness]:

@@ -9,9 +9,16 @@ One record per line: {"kind", "payload", "created_at", "producer"}.  Kinds:
   the verdict is recomputed from the spec literal and must agree.
 * ``xi``: {"m", "xi", "Xi"} with Xi as a decimal string; recomputed on append.
 
+``canonical_payload`` is the one verification and format gate: ``append``
+stores its result and ``reverify_all`` compares against it.  Every payload
+defect (missing field, bad type or value, failed recomputation) raises
+``StoreVerificationError``, which ``reverify_all`` reports as a failure.
+
 Duplicates are keyed on (kind, canonical payload) and never re-appended;
 the producer fingerprint and timestamp do not participate in identity.
-Writes are serialized through one lock (single writer, many readers).
+Writes are serialized through one lock (single writer, many readers).  Each
+record is one write call, preceded by a newline if a crash left the last
+line unterminated, so a torn line stays one malformed line.
 Sets are serialized as sorted residue arrays and big integers as decimal
 strings, so records are byte-stable.
 """
@@ -25,10 +32,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .haight import HaightWitness, verify_witness
-from .sumsets import iterated_sumset
+from .haight import HaightWitness, canonical_witness, verify_witness
 from .thick import xi_sequence
-from .verdicts import SeqSpec, Verdict, eps_verdict, pm_verdict, sym_verdict
+from .verdicts import VERDICTS, SeqSpec, Verdict
 
 
 class StoreVerificationError(ValueError):
@@ -55,15 +61,29 @@ class StoreRecord:
         )
 
 
-def make_haight_record(
-    witness: HaightWitness, producer: dict | None = None, created_at: int | None = None
-) -> StoreRecord:
+def _record(kind: str, payload: dict, producer: dict | None, created_at: int | None) -> StoreRecord:
     return StoreRecord(
-        kind="haight",
-        payload=witness.to_json_obj(),
+        kind=kind,
+        payload=payload,
         created_at=int(time.time()) if created_at is None else created_at,
         producer=producer or {},
     )
+
+
+def _verdict_payload(op: str, spec: SeqSpec, param: Any, verdict: Verdict) -> dict:
+    param_field = {"signs": [int(s) for s in param]} if op == "eps" else {"m": int(param)}
+    return {"op": op, "spec": spec.to_literal(), **param_field, **verdict.to_json_obj()}
+
+
+def _xi_payload(m: int) -> dict:
+    xi, big_xi = xi_sequence(m)
+    return {"m": m, "xi": xi, "Xi": str(big_xi)}
+
+
+def make_haight_record(
+    witness: HaightWitness, producer: dict | None = None, created_at: int | None = None
+) -> StoreRecord:
+    return _record("haight", witness.to_json_obj(), producer, created_at)
 
 
 def make_verdict_record(
@@ -74,35 +94,11 @@ def make_verdict_record(
     producer: dict | None = None,
     created_at: int | None = None,
 ) -> StoreRecord:
-    payload = {"op": op, "spec": spec.to_literal(), "holds": verdict.holds}
-    if op == "eps":
-        payload["signs"] = list(param)
-    else:
-        payload["m"] = int(param)
-    if verdict.holds:
-        payload["k0"] = verdict.k0
-        if verdict.sign_class is not None:
-            payload["sign_class"] = list(verdict.sign_class)
-    else:
-        payload["witnesses"] = list(verdict.witnesses)
-    return StoreRecord(
-        kind="verdict",
-        payload=payload,
-        created_at=int(time.time()) if created_at is None else created_at,
-        producer=producer or {},
-    )
+    return _record("verdict", _verdict_payload(op, spec, param, verdict), producer, created_at)
 
 
-def make_xi_record(
-    m: int, producer: dict | None = None, created_at: int | None = None
-) -> StoreRecord:
-    xi, big_xi = xi_sequence(m)
-    return StoreRecord(
-        kind="xi",
-        payload={"m": m, "xi": xi, "Xi": str(big_xi)},
-        created_at=int(time.time()) if created_at is None else created_at,
-        producer=producer or {},
-    )
+def make_xi_record(m: int, producer: dict | None = None, created_at: int | None = None) -> StoreRecord:
+    return _record("xi", _xi_payload(m), producer, created_at)
 
 
 def _canonical_haight_payload(payload: dict) -> dict:
@@ -110,60 +106,31 @@ def _canonical_haight_payload(payload: dict) -> dict:
     ok, reason = verify_witness(witness)
     if not ok:
         raise StoreVerificationError(f"haight payload rejected: {reason}")
-    canon = witness.subset.canonical_form()
-    cert = iterated_sumset(canon, witness.k).deficiency()[0]
-    return HaightWitness(k=witness.k, subset=canon, certificate=cert).to_json_obj()
-
-
-def _recompute_verdict(payload: dict) -> Verdict:
-    spec = SeqSpec.parse(payload["spec"])
-    op = payload.get("op")
-    if op == "eps":
-        return eps_verdict(spec, tuple(payload["signs"]))
-    if op == "pm":
-        return pm_verdict(spec, int(payload["m"]))
-    if op == "sym":
-        return sym_verdict(spec, int(payload["m"]))
-    raise StoreVerificationError(f"unknown verdict op {op!r}")
+    return canonical_witness(witness.k, witness.subset.canonical_form()).to_json_obj()
 
 
 def _canonical_verdict_payload(payload: dict) -> dict:
-    try:
-        verdict = _recompute_verdict(payload)
-    except StoreVerificationError:
-        raise
-    except (KeyError, ValueError) as exc:
-        raise StoreVerificationError(f"verdict payload rejected: {exc}") from exc
+    op = payload.get("op")
+    if op not in VERDICTS:
+        raise StoreVerificationError(f"unknown verdict op {op!r}")
+    spec = SeqSpec.parse(payload["spec"])
+    param = tuple(payload["signs"]) if op == "eps" else int(payload["m"])
+    verdict = VERDICTS[op](spec, param)
     if "holds" in payload and bool(payload["holds"]) != verdict.holds:
         raise StoreVerificationError(
             f"stored verdict claims holds={payload['holds']} but recomputation says {verdict.holds}"
         )
-    spec = SeqSpec.parse(payload["spec"])
-    canon: dict[str, Any] = {"op": payload["op"], "spec": spec.to_literal(), "holds": verdict.holds}
-    if payload["op"] == "eps":
-        canon["signs"] = [int(s) for s in payload["signs"]]
-    else:
-        canon["m"] = int(payload["m"])
-    if verdict.holds:
-        canon["k0"] = verdict.k0
-        if verdict.sign_class is not None:
-            canon["sign_class"] = list(verdict.sign_class)
-    else:
-        canon["witnesses"] = list(verdict.witnesses)
-    return canon
+    return _verdict_payload(op, spec, param, verdict)
 
 
 def _canonical_xi_payload(payload: dict) -> dict:
-    try:
-        m = int(payload["m"])
-    except (KeyError, ValueError) as exc:
-        raise StoreVerificationError(f"xi payload rejected: {exc}") from exc
-    xi, big_xi = xi_sequence(m)
-    if "xi" in payload and int(payload["xi"]) != xi:
-        raise StoreVerificationError(f"xi mismatch for m={m}: stored {payload['xi']}, computed {xi}")
-    if "Xi" in payload and str(payload["Xi"]) != str(big_xi):
+    m = int(payload["m"])
+    canon = _xi_payload(m)
+    if "xi" in payload and int(payload["xi"]) != canon["xi"]:
+        raise StoreVerificationError(f"xi mismatch for m={m}: stored {payload['xi']}, computed {canon['xi']}")
+    if "Xi" in payload and str(payload["Xi"]) != canon["Xi"]:
         raise StoreVerificationError(f"Xi mismatch for m={m}")
-    return {"m": m, "xi": xi, "Xi": str(big_xi)}
+    return canon
 
 
 _CANONICALIZERS = {
@@ -174,9 +141,15 @@ _CANONICALIZERS = {
 
 
 def canonical_payload(kind: str, payload: dict) -> dict:
+    """Verify a payload and return its canonical form; any defect is a StoreVerificationError."""
     if kind not in _CANONICALIZERS:
         raise StoreVerificationError(f"unknown record kind {kind!r}")
-    return _CANONICALIZERS[kind](payload)
+    try:
+        return _CANONICALIZERS[kind](payload)
+    except StoreVerificationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreVerificationError(f"{kind} payload rejected: {exc}") from exc
 
 
 def _dedup_key(kind: str, payload: dict) -> str:
@@ -207,16 +180,22 @@ class WitnessStore:
         self._records: list[StoreRecord] = []
         self._positions: dict[str, int] = {}
         self.malformed_lines = 0
+        self._torn_tail = False
         self._load()
 
     def _load(self) -> None:
         if not self.path.exists():
             return
-        for lineno, line in enumerate(self.path.read_text(encoding="utf-8").splitlines(), 1):
+        lines = self.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # an interrupted append can leave the last line without its newline
+        self._torn_tail = bool(lines) and not lines[-1].endswith("\n")
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj["payload"], dict):
+                    raise TypeError("payload is not an object")
                 record = StoreRecord(
                     kind=obj["kind"],
                     payload=obj["payload"],
@@ -259,9 +238,13 @@ class WitnessStore:
             if key in self._positions:
                 return self._positions[key]
             position = len(self._records)
+            line = canonical.to_json_line() + "\n"
+            if self._torn_tail:
+                line = "\n" + line  # end the torn line so it cannot swallow this one
             self.directory.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(canonical.to_json_line() + "\n")
+            with self.path.open("ab", buffering=0) as fh:
+                fh.write(line.encode("utf-8"))  # unbuffered: one write call per record
+            self._torn_tail = False
             self._records.append(canonical)
             self._positions[key] = position
             return position

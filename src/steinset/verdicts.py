@@ -117,6 +117,15 @@ class Verdict:
     def kind(self) -> str:
         return "Holds" if self.holds else "Fails"
 
+    def to_json_obj(self) -> dict:
+        """Outcome fields shared by CLI output and store records."""
+        if not self.holds:
+            return {"holds": False, "witnesses": list(self.witnesses)}
+        out: dict = {"holds": True, "k0": self.k0}
+        if self.sign_class is not None:
+            out["sign_class"] = list(self.sign_class)
+        return out
+
 
 def _run(spec: SeqSpec, test: Callable[[CyclicSet], bool]) -> Verdict:
     failing = tuple(i for i, entry in enumerate(spec.cycle) if not test(entry))
@@ -165,6 +174,11 @@ def sym_verdict(spec: SeqSpec, m: int) -> Verdict:
         if entry.symmetry_center() is None:
             raise NotSymmetricError(pos, entry)
     return _run(spec, lambda entry: iterated_sumset(entry, m).is_full())
+
+
+# verdict op -> function of (spec, sign vector or length m); the ops name the
+# CLI commands (verdict-<op>) and the "op" field of stored verdict records
+VERDICTS = {"eps": eps_verdict, "pm": pm_verdict, "sym": sym_verdict}
 
 
 def example_family_c2n1(n: int) -> SeqSpec:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from steinset.cli import main, parse_signs
+from steinset.store import StoreRecord
 
 
 def run(capsys, *argv):
@@ -209,3 +210,87 @@ def test_store_dir_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "--no-timestamp", "haight", "minimal", "1", "--cap", "3")
     assert code == 0
     assert (tmp_path / "envstore" / "records.jsonl").exists()
+
+
+# Golden bytes for the structured output and the stored record of each
+# command that writes a verdict or xi record; these pin both formats.
+_PRODUCER = '"producer":{"seed":0,"version":"0.1.0"}}'
+GOLDEN_RECORDS = [
+    pytest.param(
+        ("verdict-pm", "prefix=[5:{0};7:{0,1,3}] cycle=[7:{0,1,3};13:{0,1,3,9}]", "2"),
+        '{"command":"verdict-pm","holds":true,"k0":1,"m":2,"sign_class":[1,1],'
+        '"spec":"prefix=[5:{0};7:{0,1,3}] cycle=[7:{0,1,3};13:{0,1,3,9}]"}',
+        '{"created_at":0,"kind":"verdict","payload":{"holds":true,"k0":1,"m":2,"op":"pm",'
+        '"sign_class":[1,1],"spec":"prefix=[5:{0};7:{0,1,3}] cycle=[7:{0,1,3};13:{0,1,3,9}]"},'
+        + _PRODUCER,
+        id="pm-holds-sign-class",
+    ),
+    pytest.param(
+        ("verdict-pm", "cycle=[7:{0,1,6};5:{0}]", "2"),
+        '{"command":"verdict-pm","holds":false,"m":2,"spec":"cycle=[7:{0,1,6};5:{0}]","witnesses":[0]}',
+        '{"created_at":0,"kind":"verdict","payload":{"holds":false,"m":2,"op":"pm",'
+        '"spec":"cycle=[7:{0,1,6};5:{0}]","witnesses":[0]},' + _PRODUCER,
+        id="pm-fails",
+    ),
+    pytest.param(
+        ("verdict-eps", "prefix=[4:{0}] cycle=[7:{0,1,6};5:{0,1}]", "++"),
+        '{"command":"verdict-eps","eps":[1,1],"holds":false,'
+        '"spec":"prefix=[4:{0}] cycle=[7:{0,1,6};5:{0,1}]","witnesses":[0,1]}',
+        '{"created_at":0,"kind":"verdict","payload":{"holds":false,"op":"eps","signs":[1,1],'
+        '"spec":"prefix=[4:{0}] cycle=[7:{0,1,6};5:{0,1}]","witnesses":[0,1]},' + _PRODUCER,
+        id="eps-fails",
+    ),
+    pytest.param(
+        ("verdict-eps", "cycle=[7:{0,1,3}]", "+-"),
+        '{"command":"verdict-eps","eps":[1,-1],"holds":true,"k0":0,"spec":"cycle=[7:{0,1,3}]"}',
+        '{"created_at":0,"kind":"verdict","payload":{"holds":true,"k0":0,"op":"eps",'
+        '"signs":[1,-1],"spec":"cycle=[7:{0,1,3}]"},' + _PRODUCER,
+        id="eps-holds",
+    ),
+    pytest.param(
+        ("verdict-sym", "prefix=[6:{0}] cycle=[7:{6,0,1}]", "3"),
+        '{"command":"verdict-sym","holds":true,"k0":1,"m":3,"spec":"prefix=[6:{0}] cycle=[7:{0,1,6}]"}',
+        '{"created_at":0,"kind":"verdict","payload":{"holds":true,"k0":1,"m":3,"op":"sym",'
+        '"spec":"prefix=[6:{0}] cycle=[7:{0,1,6}]"},' + _PRODUCER,
+        id="sym-holds",
+    ),
+    pytest.param(
+        ("verdict-sym", "cycle=[7:{6,0,1};9:{0}]", "2"),
+        '{"command":"verdict-sym","holds":false,"m":2,"spec":"cycle=[7:{0,1,6};9:{0}]","witnesses":[0,1]}',
+        '{"created_at":0,"kind":"verdict","payload":{"holds":false,"m":2,"op":"sym",'
+        '"spec":"cycle=[7:{0,1,6};9:{0}]","witnesses":[0,1]},' + _PRODUCER,
+        id="sym-fails",
+    ),
+    pytest.param(
+        ("lemma1", "xi", "2"),
+        '{"Xi":"259","command":"lemma1-xi","m":2,"xi":3}',
+        '{"created_at":0,"kind":"xi","payload":{"Xi":"259","m":2,"xi":3},' + _PRODUCER,
+        id="xi",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,output,record", GOLDEN_RECORDS)
+def test_golden_output_and_record_bytes(capsys, tmp_path, argv, output, record):
+    code, out, err = run(
+        capsys, "--output", "structured", "--no-timestamp", "--store-dir", str(tmp_path),
+        *argv, "--store",
+    )
+    assert (code, err) == (0, "")
+    assert out == output + "\n"
+    assert (tmp_path / "records.jsonl").read_text(encoding="utf-8") == record + "\n"
+
+
+def test_store_reverify_reports_bad_payloads_without_traceback(capsys, tmp_path):
+    bad = [
+        StoreRecord(kind="haight", payload={"k": 2, "n": 7, "set": [0, 1, 3]}, created_at=0),
+        StoreRecord(kind="verdict", payload={"op": "pm", "spec": 5, "m": 2}, created_at=0),
+        StoreRecord(kind="xi", payload={"m": 0}, created_at=0),
+    ]
+    (tmp_path / "records.jsonl").write_text("".join(r.to_json_line() + "\n" for r in bad))
+    code, out, err = run(capsys, "--store-dir", str(tmp_path), "store", "reverify")
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert "records: 3, verified: 0, failures: 3, malformed lines: 0" in out
+    for position in range(3):
+        assert f"  position {position}: " in out

@@ -147,3 +147,55 @@ def test_reverify_flags_noncanonical_payload(tmp_path):
     report = WitnessStore(tmp_path).reverify_all()
     assert not report.clean
     assert "not canonical" in report.failures[0][1]
+
+
+def _write_records(store_dir, records):
+    store_dir.mkdir(parents=True, exist_ok=True)
+    (store_dir / WitnessStore.FILENAME).write_text(
+        "".join(r.to_json_line() + "\n" for r in records), encoding="utf-8"
+    )
+
+
+# JSON-valid records whose payloads cannot be recomputed: a missing field
+# (KeyError), a wrongly typed field (TypeError) and a bad value (ValueError).
+BAD_PAYLOAD_RECORDS = [
+    StoreRecord(kind="haight", payload={"k": 2, "n": 7, "set": [0, 1, 3]}, created_at=0),
+    StoreRecord(
+        kind="verdict", payload={"op": "pm", "spec": 5, "m": 2, "holds": True}, created_at=0
+    ),
+    StoreRecord(kind="xi", payload={"m": 0, "xi": 1, "Xi": "1"}, created_at=0),
+]
+
+
+def test_reverify_reports_bad_payloads_as_failures(tmp_path):
+    _write_records(tmp_path, [witness_record(), *BAD_PAYLOAD_RECORDS])
+    report = WitnessStore(tmp_path).reverify_all()
+    assert report.total == 4 and report.ok == 1 and report.malformed_lines == 0
+    assert [position for position, _ in report.failures] == [1, 2, 3]
+    for record in BAD_PAYLOAD_RECORDS:
+        with pytest.raises(StoreVerificationError):
+            WitnessStore(tmp_path / "fresh").append(record)
+
+
+def test_append_after_torn_tail_keeps_the_new_record(tmp_path):
+    store = WitnessStore(tmp_path)
+    store.append(witness_record())
+    with store.path.open("a", encoding="utf-8") as fh:
+        fh.write('{"kind":"xi","payload":{"m":1')  # a write cut short by a crash
+    torn = WitnessStore(tmp_path)
+    assert len(torn) == 1 and torn.malformed_lines == 1
+    assert torn.append(make_xi_record(2, created_at=3)) == 1
+
+    reloaded = WitnessStore(tmp_path)
+    assert len(reloaded) == 2 and reloaded.malformed_lines == 1
+    assert reloaded.query("xi")[0].payload == {"m": 2, "xi": 3, "Xi": "259"}
+    assert reloaded.path.read_text(encoding="utf-8").endswith("\n")
+
+
+def test_load_counts_non_object_payload_as_malformed(tmp_path):
+    tmp_path.joinpath(WitnessStore.FILENAME).write_text(
+        '{"kind":"verdict","payload":[1],"created_at":0}\n', encoding="utf-8"
+    )
+    store = WitnessStore(tmp_path)
+    assert len(store) == 0 and store.malformed_lines == 1
+    assert store.query(op="pm") == [] and store.reverify_all().failures == []
