@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 # Guard against accidental huge allocations; one bit per residue.
 MAX_MODULUS = 1 << 20
 
-# canonical_form enumerates all n*phi(n) affine maps, so it gets its own cap.
+# canonical_form compares |A|*phi(n) affine images, so it gets its own cap.
 CANONICAL_MAX_MODULUS = 512
 
 _LITERAL_RE = re.compile(r"^\s*(\d+)\s*:\s*\{([^{}]*)\}\s*$")
@@ -44,6 +44,34 @@ def rotate_mask(mask: int, shift: int, n: int) -> int:
     if shift == 0:
         return mask
     return ((mask << shift) | (mask >> (n - shift))) & ((1 << n) - 1)
+
+
+def _mask_members(mask: int) -> tuple[int, ...]:
+    """Set bits of ``mask`` in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def affine_images_through_zero(mask: int, n: int) -> Iterator[int]:
+    """Masks of the affine images u*A + c of A that contain 0 (A non-empty).
+
+    u*A + c contains 0 exactly when c = -u*a for a member a, so these are
+    the |A|*phi(n) images rot(u*A, -u*a), possibly with repeats.
+    """
+    memb = _mask_members(mask)
+    full = (1 << n) - 1
+    for u in units(n):
+        image = [u * a % n for a in memb]
+        um = 0
+        for b in image:
+            um |= 1 << b
+        for b in image:
+            # rotate by -b; b = 0 leaves um unchanged
+            yield ((um >> b) | (um << (n - b))) & full
 
 
 def units(n: int) -> tuple[int, ...]:
@@ -142,13 +170,7 @@ class CyclicSet:
         return self.to_literal()
 
     def members(self) -> tuple[int, ...]:
-        mask = self.mask
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return _mask_members(self.mask)
 
     def __contains__(self, residue: int) -> bool:
         return bool(self.mask >> (residue % self.modulus) & 1)
@@ -215,7 +237,9 @@ class CyclicSet:
 
         "Least" compares bitmasks as integers (bit r <=> residue r), so
         affinely equivalent sets share one canonical form and distinct
-        orbits never collide.
+        orbits never collide.  The least image contains 0 (rotating an
+        image down by its least member shrinks it), so only the images
+        through zero are compared.
         """
         n = self.modulus
         if n > CANONICAL_MAX_MODULUS:
@@ -224,14 +248,4 @@ class CyclicSet:
             )
         if n == 1 or self.mask == 0 or self.is_full():
             return self
-        best = self.mask
-        memb = self.members()
-        for u in units(n):
-            um = 0
-            for a in memb:
-                um |= 1 << (u * a % n)
-            for c in range(n):
-                cand = rotate_mask(um, c, n)
-                if cand < best:
-                    best = cand
-        return CyclicSet(n, best)
+        return CyclicSet(n, min(affine_images_through_zero(self.mask, n)))

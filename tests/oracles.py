@@ -1,10 +1,17 @@
 """Naive reference implementations used to cross-check the package.
 
 Everything here works on plain frozensets of residues with double loops,
-independent of the bitmask/convolution code paths under test.
+independent of the bitmask/convolution code paths under test.  The one
+exception is scan_haight_class_masks, the reference for the exhaustive
+witness search: it tests every candidate mask with the library's sumset
+kernels (themselves checked against the naive sumsets here) and shares none
+of the search's pruning, incremental levels or orbit marking.
 """
 
 from math import gcd
+
+from steinset.groups import CyclicSet
+from steinset.sumsets import iterated_sumset, signed_product_counts
 
 
 def naive_sumset(a, b, n):
@@ -88,6 +95,56 @@ def naive_haight_class_masks(n, k):
             continue
         seen.add(naive_canonical_mask(a, n))
     return sorted(seen)
+
+
+def candidate_masks(n):
+    """Masks hitting every affine class that can hold a witness (n >= 2).
+
+    Witness sets have >= 2 elements, so each class has a representative
+    with 0 in A whose least nonzero element d is the minimum of its orbit
+    under unit multiplication.  That orbit is {x : gcd(x, n) = gcd(d, n)},
+    whose minimum is gcd(d, n); hence d can be pinned to a divisor of n.
+    """
+    for d in range(1, n):
+        if n % d:
+            continue
+        base = 1 | (1 << d)
+        for high in range(1 << (n - 1 - d)):
+            yield base | (high << (d + 1))
+
+
+def all_maps_canonical_mask(mask, n):
+    """Least image of a mask under all n*phi(n) affine maps, on raw ints."""
+    full = (1 << n) - 1
+    memb = [r for r in range(n) if mask >> r & 1]
+    best = mask
+    for u in range(1, n):
+        if gcd(u, n) != 1:
+            continue
+        um = 0
+        for a in memb:
+            um |= 1 << (u * a % n)
+        for c in range(n):
+            best = min(best, ((um << c) | (um >> (n - c))) & full)
+    return best
+
+
+def scan_haight_class_masks(n, k, max_set_size=None):
+    """Canonical masks of every witness class at modulus n: every candidate
+    mask tested with the library's sumset kernels, no pruning or orbit marks."""
+    if n == 1:
+        return []
+    found = set()
+    for mask in candidate_masks(n):
+        if max_set_size is not None and mask.bit_count() > max_set_size:
+            continue
+        a = CyclicSet(n, mask)
+        if not signed_product_counts(a, 1, 1).is_full():
+            continue
+        if iterated_sumset(a, k).is_full():
+            continue
+        found.add(all_maps_canonical_mask(mask, n))
+    return sorted(found)
 
 
 def random_nonempty_members(rng, n):

@@ -10,14 +10,17 @@ from steinset.groups import (
     EmptySetError,
     MAX_MODULUS,
     ModulusMismatchError,
+    affine_images_through_zero,
     all_affine_maps,
     rotate_mask,
     units,
 )
 
 from oracles import (
+    mask_of,
     naive_canonical_mask,
     naive_negate,
+    naive_orbit,
     naive_symmetry_center,
     random_nonempty_members,
 )
@@ -137,6 +140,31 @@ def test_canonical_matches_orbit_minimum():
         members = random_nonempty_members(rng, n)
         got = CyclicSet.from_members(n, members).canonical_form()
         assert got.mask == naive_canonical_mask(members, n)
+
+
+def test_canonical_matches_orbit_minimum_up_to_64():
+    # many units (phi(60) = 16, phi(64) = 32) and the extreme cardinalities
+    rng = random.Random(64)
+    cases = []
+    for n in (60, 64) + tuple(rng.randrange(13, 65) for _ in range(20)):
+        full = frozenset(range(n))
+        x = rng.randrange(n)
+        cases.append((n, frozenset([x])))
+        cases.append((n, full - {x}))
+        for _ in range(3):
+            cases.append((n, frozenset(rng.sample(range(n), rng.randrange(2, n - 1)))))
+    for n, members in cases:
+        got = CyclicSet.from_members(n, members).canonical_form()
+        assert got.mask == naive_canonical_mask(members, n), (n, sorted(members))
+
+
+def test_affine_images_through_zero_are_the_orbit_masks_containing_0():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randrange(1, 25)
+        members = random_nonempty_members(rng, n)
+        want = {mask_of(img, n) for img in naive_orbit(members, n) if 0 in img}
+        assert set(affine_images_through_zero(mask_of(members, n), n)) == want
 
 
 def test_canonical_cap():

@@ -1,8 +1,10 @@
+import gc
 import random
 from math import gcd
 
 import pytest
 
+from steinset import haight
 from steinset.groups import CANONICAL_MAX_MODULUS, AffineMap, CyclicSet
 from steinset.haight import (
     EXHAUSTIVE_CAP,
@@ -17,7 +19,7 @@ from steinset.haight import (
 )
 from steinset.sumsets import iterated_sumset, signed_product_counts
 
-from oracles import naive_haight_class_masks
+from oracles import naive_haight_class_masks, scan_haight_class_masks
 
 
 def cs(n, members):
@@ -79,6 +81,67 @@ def test_exhaustive_matches_brute_oracle():
         for k in (1, 2, 3):
             found = exhaustive_search(SearchConfig(k=k, n_range=(n, n)))
             assert [w.subset.mask for w in found] == naive_haight_class_masks(n, k)
+
+
+def _class_masks(k, n, max_set_size=None):
+    cfg = SearchConfig(k=k, n_range=(n, n), max_set_size=max_set_size)
+    return [w.subset.mask for w in exhaustive_search(cfg)]
+
+
+def test_exhaustive_matches_full_candidate_scan():
+    for n in range(1, 15):
+        for k in (1, 2, 3):
+            assert _class_masks(k, n) == scan_haight_class_masks(n, k), (k, n)
+    for n in (15, 16):
+        assert _class_masks(2, n) == scan_haight_class_masks(n, 2), n
+
+
+def test_max_set_size_matches_full_candidate_scan():
+    for size in (4, 5, 6):
+        for n in range(1, 15):
+            for k in (1, 2, 3):
+                got = _class_masks(k, n, size)
+                assert got == scan_haight_class_masks(n, k, size), (k, n, size)
+                assert all(m.bit_count() <= size for m in got)
+
+
+def test_order_2_class_counts():
+    # golden data: scan_haight_class_masks gives the same class lists up to
+    # n = 20, but takes about 35 s for n = 17..20, too long to repeat here
+    counts = {n: len(_class_masks(2, n)) for n in range(10, 21)}
+    assert counts == {
+        10: 5, 11: 4, 12: 23, 13: 11, 14: 42, 15: 58,
+        16: 113, 17: 89, 18: 497, 19: 271, 20: 1269,
+    }
+
+
+def test_least_modulus_of_order_3():
+    n, w = minimal_modulus(3, 24)
+    assert n == 24
+    assert w.subset == CyclicSet.parse("24:{0,2,5,6,12,14,18}")
+    assert verify_witness(w) == (True, None)
+
+
+def test_exhaustive_search_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        assert exhaustive_search(SearchConfig(k=2, n_range=(17, 17)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_equal_searches_share_witnesses():
+    cfg = SearchConfig(k=2, n_range=(13, 13))
+    first = exhaustive_search(cfg)
+    keys = [(w.k, w.modulus, w.subset.mask) for w in first]
+    for _ in range(2):
+        again = exhaustive_search(cfg)
+        assert len(again) == len(first)
+        assert all(a is b for a, b in zip(again, first))
+    del first, again
+    assert not any(key in haight._WITNESSES for key in keys)
 
 
 def test_pruning_bound_never_removes_witnesses():
