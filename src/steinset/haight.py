@@ -21,7 +21,15 @@ set lookup.
 Stochastic search hill-climbs on membership masks under the objective
 (difference deficiency, then negated k-fold deficiency), restarting from
 states drawn from an explicitly specified xorshift64* generator so runs
-reproduce exactly from (seed, budget, n_range).
+reproduce exactly from (seed, budget, n_range).  The candidates are the
+one-bit flips of the current mask, scored on raw int masks with no
+CyclicSet per evaluation: adding a residue updates A - A and 1A..kA of
+the current node by the walk's recurrences, removing one recomputes them
+with sumset_mask, and kA is not computed when the difference deficiency
+alone already loses to the best candidate.  Witness masks are reduced by
+canonical_mask; CyclicSets are built only for the classes returned.  The scores are exact, so the trajectory and the result are
+those of rebuilding every candidate as a CyclicSet (the reference search
+in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -30,8 +38,14 @@ import weakref
 from dataclasses import dataclass
 from typing import Literal
 
-from .groups import CANONICAL_MAX_MODULUS, CyclicSet, affine_images_through_zero
-from .sumsets import iterated_sumset, signed_product_counts
+from .groups import (
+    CANONICAL_MAX_MODULUS,
+    CyclicSet,
+    affine_images_through_zero,
+    canonical_mask,
+    negate_mask,
+)
+from .sumsets import iterated_sumset, signed_product_counts, sumset_mask
 
 # Exhaustive enumeration is refused beyond this modulus: the candidate
 # space grows as 2^(n-1) even after fixing 0 in A, and the kA-full cut only
@@ -146,7 +160,7 @@ class SearchConfig:
         if self.mode not in ("exhaustive", "stochastic"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "stochastic" and hi > CANONICAL_MAX_MODULUS:
-            # every witness found is reduced by canonical_form, which is capped
+            # every witness found is reduced to canonical form, which is capped
             raise ValueError(
                 f"stochastic modulus range {self.n_range} exceeds canonical cap "
                 f"{CANONICAL_MAX_MODULUS}"
@@ -245,12 +259,6 @@ def minimal_modulus(k: int, cap: int) -> tuple[int, HaightWitness] | None:
     return None
 
 
-def _deficiency_pair(a: CyclicSet, k: int) -> tuple[int, int]:
-    diff_def = a.modulus - signed_product_counts(a, 1, 1).cardinality
-    k_def = a.modulus - iterated_sumset(a, k).cardinality
-    return diff_def, k_def
-
-
 def _clamp_cardinality(mask: int, max_card: int) -> int:
     # keep the lowest max_card members (bit 0 stays set)
     while mask.bit_count() > max_card:
@@ -258,49 +266,82 @@ def _clamp_cardinality(mask: int, max_card: int) -> int:
     return mask
 
 
+def _levels(a: int, n: int, k: int) -> list[int]:
+    """The levels (1A, ..., kA) of a non-empty mask."""
+    full = (1 << n) - 1
+    levels = [a]
+    for _ in range(k - 1):
+        top = levels[-1]
+        levels.append(top if top == full else sumset_mask(top, a, n))
+    return levels
+
+
+def _node(a: int, n: int, k: int) -> tuple[int, int, list[int]]:
+    """-A, A - A and the levels (1A, ..., kA) of a non-empty mask."""
+    neg = negate_mask(a, n)
+    return neg, sumset_mask(a, neg, n), _levels(a, n, k)
+
+
 def _stochastic_modulus(n: int, cfg: SearchConfig) -> list[HaightWitness]:
-    found: dict[int, CyclicSet] = {}
-    budget = cfg.budget
-
-    def record(a: CyclicSet) -> None:
-        canon = a.canonical_form()
-        found.setdefault(canon.mask, canon)
-
+    k, budget = cfg.k, cfg.budget
     if (1 << max(n - 1, 0)) <= budget:
         # whole mask space fits in the budget: cover it exhaustively
-        return _scan_modulus(n, cfg.k, cfg.max_set_size)
+        return _scan_modulus(n, k, cfg.max_set_size)
 
+    full = (1 << n) - 1
+    # score (|A - A| deficiency, |kA|) as one int, ordered lexicographically
+    # because |kA| <= n < span; best // span is the best difference deficiency
+    span = n + 1
+    found: set[int] = set()  # canonical masks of the witnesses scored
     rng = Xorshift64Star(modulus_stream_seed(cfg.seed, n))
-    evals = 0
-
-    def score(mask: int) -> tuple[int, int]:
-        nonlocal evals
-        evals += 1
-        a = CyclicSet(n, mask)
-        diff_def, k_def = _deficiency_pair(a, cfg.k)
-        if diff_def == 0 and k_def > 0:
-            record(a)
-        return diff_def, -k_def
-
     max_card = cfg.max_set_size if cfg.max_set_size is not None else n
+    evals = 0
     while evals < budget:
         mask = _clamp_cardinality(rng.bits(n) | 1, max_card)
-        current = score(mask)
+        neg, diff, levels = _node(mask, n, k)
+        evals += 1
+        current = (n - diff.bit_count()) * span + levels[-1].bit_count()
+        if diff == full and levels[-1] != full:
+            found.add(canonical_mask(mask, n))
         while evals < budget:
-            best_mask, best_score = None, current
+            best_mask, best = None, current
             for b in range(1, n):
                 if evals >= budget:
                     break
-                cand = mask ^ (1 << b)
+                bit = 1 << b
+                cand = mask ^ bit
                 if cand.bit_count() > max_card:
                     continue
-                s = score(cand)
-                if s < best_score:
-                    best_mask, best_score = cand, s
+                evals += 1
+                y = n - b  # -b mod n
+                if mask & bit:
+                    # removal: recompute B - B, and kB below, from scratch
+                    d = sumset_mask(cand, neg ^ (1 << y), n)
+                else:
+                    # addition: B - B = (A - A) | (B - b) | (b - B)
+                    nb = neg | (1 << y)
+                    d = diff | (((cand << y) | (cand >> b)) & full)
+                    d |= ((nb << b) | (nb >> y)) & full
+                d_def = n - d.bit_count()
+                if d_def > best // span:
+                    continue  # loses to best whatever kB is
+                if mask & bit:
+                    top = _levels(cand, n, k)[-1]
+                else:
+                    # jB = jA | ((j-1)B + b)
+                    top = 1
+                    for level in levels:
+                        top = level | (((top << b) | (top >> y)) & full)
+                if d_def == 0 and top != full:
+                    found.add(canonical_mask(cand, n))
+                s = d_def * span + top.bit_count()
+                if s < best:
+                    best_mask, best = cand, s
             if best_mask is None:
                 break
-            mask, current = best_mask, best_score
-    return [canonical_witness(cfg.k, found[m]) for m in sorted(found)]
+            mask, current = best_mask, best
+            neg, diff, levels = _node(mask, n, k)
+    return [canonical_witness(k, CyclicSet(n, m)) for m in sorted(found)]
 
 
 def stochastic_search(cfg: SearchConfig, threads: int = 1) -> list[HaightWitness]:

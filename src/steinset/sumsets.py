@@ -14,12 +14,13 @@ Two interchangeable kernels compute A + B = {a + b mod n : a in A, b in B}:
   coefficient exceeds m < 256^w and fields never carry into each other.
   Below 256 members w = 1.
 
-``sumset`` uses the convolution kernel when m > w*n / F + F with
-F = CONVOLUTION_FACTOR = 8: the convolution costs about F rotations of
-fixed overhead plus one rotation per F bytes of packed operand, and
-shift-or costs one rotation per member of the smaller operand.  The rule
-is a fit to timings of both kernels on random operands with |A| = |B| = m
-(CPython 3.11, 2-vCPU x86-64 VM); the crossover m* where they tie:
+``sumset`` and its raw-mask form ``sumset_mask`` use the convolution
+kernel when m > w*n / F + F with F = CONVOLUTION_FACTOR = 8: the
+convolution costs about F rotations of fixed overhead plus one rotation
+per F bytes of packed operand, and shift-or costs one rotation per member
+of the smaller operand.  The rule is a fit to timings of both kernels on
+random operands with |A| = |B| = m (CPython 3.11, 2-vCPU x86-64 VM); the
+crossover m* where they tie:
 
     n      16-64   128   256   512   1024   2048   4096   16384   65536
     m*     11-12   16    30    55    120    700    1300   4500    8000
@@ -58,15 +59,21 @@ def _result(n: int, mask: int) -> CyclicSet:
     return CyclicSet.full(n) if mask == (1 << n) - 1 else CyclicSet(n, mask)
 
 
+def _shift_or(a: int, b: int, n: int) -> int:
+    """Shift-or on raw masks: copies of the larger rotated by each member of the smaller."""
+    small, big = (a, b) if a.bit_count() <= b.bit_count() else (b, a)
+    acc = 0
+    while small:
+        low = small & -small
+        acc |= rotate_mask(big, low.bit_length() - 1, n)
+        small ^= low
+    return acc
+
+
 def sumset_shift_or(a: CyclicSet, b: CyclicSet) -> CyclicSet:
     """Shift-or kernel: exact for any moduli, fastest for sparse operands."""
     n = _check_operands(a, b)
-    small, big = (a, b) if a.cardinality <= b.cardinality else (b, a)
-    acc = 0
-    big_mask = big.mask
-    for s in small.members():
-        acc |= rotate_mask(big_mask, s, n)
-    return _result(n, acc)
+    return _result(n, _shift_or(a.mask, b.mask, n))
 
 
 # bytes.translate tables: ASCII '0'/'1' to byte 0/1, and any byte to '0'/'1'.
@@ -87,26 +94,44 @@ def _packed(mask: int, n: int, w: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def sumset_convolution(a: CyclicSet, b: CyclicSet) -> CyclicSet:
-    """Convolution kernel: indicator product via big-int multiply, folded mod n."""
-    n = _check_operands(a, b)
-    w = _field_width(min(a.cardinality, b.cardinality))
-    pa = _packed(a.mask, n, w)
-    prod = pa * pa if a.mask == b.mask else pa * _packed(b.mask, n, w)
+def _convolution(a: int, b: int, n: int) -> int:
+    """Convolution on raw masks: indicator product via big-int multiply, folded mod n."""
+    w = _field_width(min(a.bit_count(), b.bit_count()))
+    pa = _packed(a, n, w)
+    prod = pa * pa if a == b else pa * _packed(b, n, w)
     buf = prod.to_bytes(2 * w * n, "little")
     lanes = 0
     for i in range(w):
         lanes |= int.from_bytes(buf[i::w], "little")
     bits = lanes.to_bytes(2 * n, "little").translate(_NONZERO_TO_BIT)
     support = int(bits[::-1], 2)  # bit j <=> coefficient j of the product is nonzero
-    return _result(n, (support & ((1 << n) - 1)) | (support >> n))
+    return (support & ((1 << n) - 1)) | (support >> n)
+
+
+def sumset_convolution(a: CyclicSet, b: CyclicSet) -> CyclicSet:
+    """Convolution kernel: indicator product via big-int multiply, folded mod n."""
+    n = _check_operands(a, b)
+    return _result(n, _convolution(a.mask, b.mask, n))
+
+
+def _convolution_pays(m: int, n: int) -> bool:
+    """The dispatch rule: convolution when the smaller operand has m > w*n/F + F members."""
+    return CONVOLUTION_FACTOR * (m - CONVOLUTION_FACTOR) > _field_width(m) * n
+
+
+def sumset_mask(a: int, b: int, n: int) -> int:
+    """A + B on raw non-empty masks of Z_n, by the kernel ``sumset`` would pick."""
+    if _convolution_pays(min(a.bit_count(), b.bit_count()), n):
+        return _convolution(a, b, n)
+    return _shift_or(a, b, n)
 
 
 def sumset(a: CyclicSet, b: CyclicSet) -> CyclicSet:
     """A + B, dispatching between the shift-or and convolution kernels."""
+    # calls the public kernels rather than sumset_mask, so a profiler or
+    # perfbench/tracing.py still sees which kernel ran
     n = _check_operands(a, b)
-    m = min(a.cardinality, b.cardinality)
-    if CONVOLUTION_FACTOR * (m - CONVOLUTION_FACTOR) > _field_width(m) * n:
+    if _convolution_pays(min(a.cardinality, b.cardinality), n):
         return sumset_convolution(a, b)
     return sumset_shift_or(a, b)
 

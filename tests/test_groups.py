@@ -12,6 +12,7 @@ from steinset.groups import (
     ModulusMismatchError,
     affine_images_through_zero,
     all_affine_maps,
+    canonical_mask,
     rotate_mask,
     units,
 )
@@ -23,6 +24,7 @@ from oracles import (
     naive_orbit,
     naive_symmetry_center,
     random_nonempty_members,
+    random_symmetric_members,
 )
 
 cyclic_sets = st.integers(min_value=1, max_value=24).flatmap(
@@ -156,6 +158,43 @@ def test_canonical_matches_orbit_minimum_up_to_64():
     for n, members in cases:
         got = CyclicSet.from_members(n, members).canonical_form()
         assert got.mask == naive_canonical_mask(members, n), (n, sorted(members))
+
+
+def _tie_heavy_sets(rng):
+    """Sets whose unit multiples have many equal largest gaps."""
+    for n in (12, 18, 24, 30, 64):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            for c in {0, 1, d - 1}:
+                coset = frozenset(range(c % d, n, d))  # dZ_n + c
+                yield n, coset
+                if len(coset) < n:
+                    yield n, frozenset(range(n)) - coset
+    for n in (20, 36, 49, 60):
+        for step in (1, 2, 3, 5, n // 2 - 1):
+            for length in (2, 3, n // 3, n // 2):
+                start = rng.randrange(n)
+                yield n, frozenset((start + j * step) % n for j in range(length))
+        for _ in range(6):
+            yield n, random_symmetric_members(rng, n)
+        for x in (0, rng.randrange(n)):
+            yield n, frozenset([x])
+            yield n, frozenset(range(n)) - {x}
+
+
+def test_canonical_mask_matches_orbit_minimum_on_ties():
+    rng = random.Random(77)
+    for n, members in _tie_heavy_sets(rng):
+        want = naive_canonical_mask(members, n)
+        assert canonical_mask(mask_of(members, n), n) == want, (n, sorted(members))
+        assert CyclicSet.from_members(n, members).canonical_form().mask == want
+
+
+def test_canonical_mask_matches_images_through_zero_up_to_512():
+    rng = random.Random(512)
+    for n in (128, 256, 512):
+        for size in (1, 2, 7, n // 8, n // 2, n - 3, n):
+            mask = mask_of(rng.sample(range(n), size), n)
+            assert canonical_mask(mask, n) == min(affine_images_through_zero(mask, n)), (n, size)
 
 
 def test_affine_images_through_zero_are_the_orbit_masks_containing_0():

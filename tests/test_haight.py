@@ -19,7 +19,11 @@ from steinset.haight import (
 )
 from steinset.sumsets import iterated_sumset, signed_product_counts
 
-from oracles import naive_haight_class_masks, scan_haight_class_masks
+from oracles import (
+    naive_haight_class_masks,
+    reference_stochastic_search,
+    scan_haight_class_masks,
+)
 
 
 def cs(n, members):
@@ -257,6 +261,36 @@ def test_stochastic_finds_witnesses_by_climbing():
         assert w.modulus == 13
         assert verify_witness(w)[0]
         assert w.subset == w.subset.canonical_form()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stochastic_matches_reference_climb(k):
+    # budget 15 stops inside a neighbourhood; at n <= 9, 256 >= 2^(n-1)
+    # takes the exhaustive shortcut and n = 10 climbs; n >= 100 dispatches
+    # removals to the convolution kernel
+    cases = [
+        ((22, 24), 0), ((22, 24), 15), ((22, 24), 400),
+        ((30, 40), 120), ((100, 101), 150), ((7, 10), 256),
+    ]
+    for (lo, hi), budget in cases:
+        for max_set_size in (None, 6):
+            cfg = SearchConfig(
+                k=k, n_range=(lo, hi), mode="stochastic", budget=budget,
+                seed=31 * k + lo, max_set_size=max_set_size,
+            )
+            assert stochastic_search(cfg) == reference_stochastic_search(cfg), cfg
+
+
+def test_stochastic_golden_results():
+    # recorded from the CyclicSet-scored search, before raw-int scoring
+    found = _stochastic(2, 22, 24, budget=700, seed=1)
+    assert len(found) == 796
+    assert found[0] == witness(2, 22, [0, 1, 2, 3, 4, 6, 11], 16)
+    assert _stochastic(3, 24, 24, budget=2500, seed=1) == []
+    cfg = SearchConfig(
+        k=2, n_range=(30, 32), mode="stochastic", budget=1000, seed=3, max_set_size=6
+    )
+    assert stochastic_search(cfg) == []
 
 
 def test_stochastic_threads_do_not_change_results():
