@@ -115,23 +115,86 @@ def sumset_convolution(a: CyclicSet, b: CyclicSet) -> CyclicSet:
 
 
 def _convolution_pays(m: int, n: int) -> bool:
-    """The dispatch rule: convolution when the smaller operand has m > w*n/F + F members."""
+    """The kernel rule: convolution when the smaller operand has m > w*n/F + F members."""
     return CONVOLUTION_FACTOR * (m - CONVOLUTION_FACTOR) > _field_width(m) * n
 
 
+# Routes of the dispatch rule ``_route``.
+_SHIFT_OR, _CONVOLUTION, _FULL = range(3)
+# The saturation probe must halve the uncovered count every _STALL_WINDOW
+# rotations on average, or it gives up.
+_STALL_WINDOW = 4
+
+
+def _probe_budget(m: int, n: int) -> int:
+    """Rotations the saturation probe may spend: at most m, a quarter of the
+    convolution's modelled cost w*n/F, and 4*bitlen(n) + 16."""
+    return min(m, _field_width(m) * n // (4 * CONVOLUTION_FACTOR), 4 * n.bit_length() + 16)
+
+
+def _rotations_cover(small: int, big: int, n: int, budget: int) -> bool:
+    """Whether ``big`` rotated by the smallest members of ``small`` covers Z_n.
+
+    True proves A + B = Z_n, since the union is a subset of A + B.  False
+    proves nothing: the probe stops after ``budget`` rotations, or once
+    the uncovered count left by the first rotation has not halved once per
+    _STALL_WINDOW rotations since (intervals, subgroups and cosets stop at
+    the first check).
+    """
+    full = (1 << n) - 1
+    acc = 0
+    for i in range(budget):
+        low = small & -small
+        acc |= rotate_mask(big, low.bit_length() - 1, n)
+        if acc == full:
+            return True
+        small ^= low
+        if i % _STALL_WINDOW == 0:
+            left = n - acc.bit_count()
+            if not i:
+                bound = left
+            else:
+                bound >>= 1
+                if left > bound:
+                    return False
+    return False
+
+
+def _route(a: int, b: int, n: int) -> int:
+    """The dispatch rule on raw non-empty masks: _FULL when A + B = Z_n is
+    already known, else the kernel that computes it."""
+    full = (1 << n) - 1
+    if a == full or b == full:
+        return _FULL
+    ca, cb = a.bit_count(), b.bit_count()
+    small, big, m = (a, b, ca) if ca <= cb else (b, a, cb)
+    if not _convolution_pays(m, n):
+        return _SHIFT_OR
+    if _rotations_cover(small, big, n, _probe_budget(m, n)):
+        return _FULL
+    return _CONVOLUTION
+
+
 def sumset_mask(a: int, b: int, n: int) -> int:
-    """A + B on raw non-empty masks of Z_n, by the kernel ``sumset`` would pick."""
-    if _convolution_pays(min(a.bit_count(), b.bit_count()), n):
+    """A + B on raw non-empty masks of Z_n, routed as ``sumset`` routes it."""
+    route = _route(a, b, n)
+    if route == _FULL:
+        return (1 << n) - 1
+    if route == _CONVOLUTION:
         return _convolution(a, b, n)
     return _shift_or(a, b, n)
 
 
 def sumset(a: CyclicSet, b: CyclicSet) -> CyclicSet:
-    """A + B, dispatching between the shift-or and convolution kernels."""
+    """A + B: Z_n when a full operand or the saturation probe shows it, else
+    the shift-or or convolution kernel."""
     # calls the public kernels rather than sumset_mask, so a profiler or
     # perfbench/tracing.py still sees which kernel ran
     n = _check_operands(a, b)
-    if _convolution_pays(min(a.cardinality, b.cardinality), n):
+    route = _route(a.mask, b.mask, n)
+    if route == _FULL:
+        return CyclicSet.full(n)
+    if route == _CONVOLUTION:
         return sumset_convolution(a, b)
     return sumset_shift_or(a, b)
 
@@ -188,13 +251,10 @@ def signed_product_counts(a: CyclicSet, plus: int, minus: int) -> CyclicSet:
     if a.is_empty():
         raise EmptySetError("signed product of an empty set")
     pos = iterated_sumset(a, plus) if plus else None
-    neg = iterated_sumset(a.negate(), minus) if minus else None
-    if pos is None:
-        assert neg is not None
-        return neg
-    if neg is None:
+    if pos is not None and (not minus or pos.is_full()):
         return pos
-    return sumset(pos, neg)
+    neg = iterated_sumset(a.negate(), minus)
+    return neg if pos is None else sumset(pos, neg)
 
 
 def pm_product(a: CyclicSet, m: int) -> CyclicSet:

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -18,6 +19,7 @@ from steinset.sumsets import (
 )
 
 from oracles import (
+    members_of,
     naive_iterated,
     naive_pm,
     naive_pm_union,
@@ -247,8 +249,22 @@ def test_dispatch_threshold(n, last_shift_or, monkeypatch):
     )
     rng = random.Random(n)
     for size, uses_convolution in ((last_shift_or, False), (last_shift_or + 1, True)):
+        # these random operands sum to Z_n at m*+1, which the saturation probe
+        # shows without the convolution; n = 16 is too small to probe
         a_mem = rng.sample(range(n), size)
         b_mem = rng.sample(range(n), max(size, n // 2))
+        calls.clear()
+        got = sumset(cs(n, a_mem), cs(n, b_mem))
+        assert members(got) == naive_sumset(a_mem, b_mem, n)
+        assert bool(calls) == (uses_convolution and n == 16)
+    if n == 16:
+        return
+    # operands inside [0, n/2) never sum to Z_n (n - 1 is missing), so the
+    # kernel rule alone picks
+    rng = random.Random(-n)
+    for size, uses_convolution in ((last_shift_or, False), (last_shift_or + 1, True)):
+        a_mem = rng.sample(range(n // 2), size)
+        b_mem = rng.sample(range(n // 2), size)
         calls.clear()
         got = sumset(cs(n, a_mem), cs(n, b_mem))
         assert members(got) == naive_sumset(a_mem, b_mem, n)
@@ -270,3 +286,122 @@ def test_full_results_are_the_shared_full_set():
     assert all(r is full for r in results)
     assert CyclicSet.full(n) is full
     assert sumset(pair, pair) == cs(n, [0, 1, 2])
+
+
+
+def test_signed_product_stops_at_a_full_positive_part(monkeypatch):
+    n = 300
+    half = cs(n, range(n // 2 + 1))
+    negated = []
+    monkeypatch.setattr(
+        CyclicSet, "negate", lambda self: negated.append(self) or CyclicSet(n, 0)
+    )
+    assert signed_product_counts(half, 2, 3) is CyclicSet.full(n)
+    assert negated == []
+
+SATURATION_MODULI = [33, 64, 1000, 4097, 16384, 65536]
+
+
+def _first_convolution_size(n):
+    """m*+1: the least smaller-operand size the kernel rule sends to the convolution."""
+    return next(m for m in range(1, n + 1) if sumsets._convolution_pays(m, n))
+
+
+def _mask(members, n):
+    """mask_of in linear time, for operands with tens of thousands of members."""
+    bits = bytearray(b"0" * n)
+    for x in members:
+        bits[n - 1 - x % n] = ord("1")
+    return int(bits, 2)
+
+
+def _saturation_cases(n):
+    """(label, A, B, A + B) around the saturation probe, as masks of Z_n.
+
+    A + B is worked out from the structure of the family, independently of
+    both kernels; None for random pairs, whose reference is the kernels.
+    """
+    rng = random.Random(n)
+    first = min(_first_convolution_size(n), n // 2)
+    h = n // 2
+    d = next(p for p in range(2, n + 1) if n % p == 0)
+    step = next(t for t in range(3, n) if gcd(t, n) == 1)
+    full = range(n)
+    subgroup = range(0, n, d)
+    progression = [(7 + step * i) % n for i in range(h + 1)]
+    co_singleton = [r for r in full if r != 5]
+    dense = rng.sample(full, h)
+    avoid = set((3 - x) % n for x in dense)
+    cases = [
+        (f"random m={m}", rng.sample(full, m), rng.sample(full, max(m, h)), None)
+        for m in (first - 1, first, first + 1)
+    ]
+    cases += [
+        ("random half", dense, rng.sample(full, h), None),
+        ("interval", range(h), range(h), range(2 * h - 1)),
+        ("interval pair", range(3, 3 + h + 1), range(h + 1), full),
+        ("subgroup", subgroup, subgroup, subgroup),
+        ("cosets", [x + 1 for x in subgroup], [x + d - 1 for x in subgroup], subgroup),
+        ("progression", progression, progression[: h - 1],
+         [14 + step * i for i in range(2 * h - 1)]),
+        ("co-singleton", co_singleton, co_singleton, full),
+        ("co-singleton pair", co_singleton, [0, 1], full),
+        ("full", full, dense, full),
+        # near misses: A + B lacks exactly one residue
+        ("near miss intervals", range(h), range(n - h), range(n - 1)),
+        ("near miss random", dense, [r for r in full if r not in avoid],
+         [r for r in full if r != 3]),
+    ]
+    return [
+        (label, _mask(a, n), _mask(b, n), None if want is None else _mask(want, n))
+        for label, a, b, want in cases
+    ]
+
+
+@pytest.mark.parametrize("n", SATURATION_MODULI)
+def test_saturating_dispatch_matches_kernels_and_oracle(n):
+    for label, a, b, want in _saturation_cases(n):
+        if want is None:
+            want = sumsets._convolution(a, b, n)
+        got = sumsets.sumset_mask(a, b, n)
+        assert got == want, label
+        assert sumset(CyclicSet(n, b), CyclicSet(n, a)) == CyclicSet(n, want), label
+        # past n = 16384 a kernel call over these operands takes 0.05-1.4 s;
+        # the structural results check the dispatcher there
+        if n <= 16384:
+            assert sumsets._convolution(a, b, n) == want, label
+            assert sumsets._shift_or(a, b, n) == want, label
+        if n <= 1000:
+            assert members_of(want, n) == naive_sumset(
+                members_of(a, n), members_of(b, n), n
+            ), label
+
+
+@pytest.mark.parametrize("n", SATURATION_MODULI)
+def test_probed_full_result_is_the_shared_full_set(n):
+    rng = random.Random(n + 1)
+    a = cs(n, rng.sample(range(n), n // 2 + 1))
+    b = cs(n, rng.sample(range(n), n // 2 + 1))
+    assert sumset(a, b) is CyclicSet.full(n)
+    assert sumset(CyclicSet.full(n), a) is CyclicSet.full(n)
+
+
+def test_saturating_random_operands_skip_the_convolution(monkeypatch):
+    n = 65536
+    calls = []
+    monkeypatch.setattr(
+        sumsets,
+        "sumset_convolution",
+        lambda a, b: calls.append((a, b)) or sumset_convolution(a, b),
+    )
+    monkeypatch.setattr(
+        sumsets, "_convolution", lambda a, b, n: calls.append((a, b)) or 0
+    )
+    rng = random.Random(3)
+    for size in (_first_convolution_size(n), n // 2):
+        for _ in range(3):
+            a = cs(n, rng.sample(range(n), size))
+            b = cs(n, rng.sample(range(n), size))
+            assert sumset(a, b) is CyclicSet.full(n)
+            assert sumsets.sumset_mask(a.mask, b.mask, n) == (1 << n) - 1
+    assert calls == []
