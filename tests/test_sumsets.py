@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from steinset import sumsets
-from steinset.groups import CyclicSet, EmptySetError, ModulusMismatchError
+from steinset.groups import CyclicSet, EmptySetError, ModulusMismatchError, rotate_mask
 from steinset.sumsets import (
     CONVOLUTION_FACTOR,
     iterated_sumset,
@@ -375,6 +375,20 @@ def test_saturating_dispatch_matches_kernels_and_oracle(n):
             assert members_of(want, n) == naive_sumset(
                 members_of(a, n), members_of(b, n), n
             ), label
+
+
+def test_probe_gives_up_early_on_structured_sums(monkeypatch):
+    n = 16384
+    rotations = []
+    monkeypatch.setattr(
+        sumsets, "rotate_mask", lambda m, s, n: rotations.append(s) or rotate_mask(m, s, n)
+    )
+    structured = ("interval", "subgroup", "cosets", "near miss intervals")
+    for label, a, b, want in _saturation_cases(n):
+        if label in structured:
+            rotations.clear()
+            assert sumsets.sumset_mask(a, b, n) == want, label
+            assert len(rotations) == 5, label
 
 
 @pytest.mark.parametrize("n", SATURATION_MODULI)
