@@ -187,10 +187,9 @@ def _rotations_cover(small: int, big: int, n: int, budget: int) -> bool:
 def _route(a: int, b: int, n: int) -> int:
     """The dispatch rule on raw non-empty masks: _FULL when A + B = Z_n is
     already known, else the kernel that computes it."""
-    full = (1 << n) - 1
-    if a == full or b == full:
-        return _FULL
     ca, cb = a.bit_count(), b.bit_count()
+    if ca == n or cb == n:
+        return _FULL
     small, big, m = (a, b, ca) if ca <= cb else (b, a, cb)
     if not _convolution_pays(m, n):
         return _SHIFT_OR

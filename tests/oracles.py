@@ -54,10 +54,11 @@ def naive_pm_union(a, m, n):
 
 
 def mask_of(members, n):
-    out = 0
+    # one character per residue, so dense sets at large n build in linear time
+    bits = bytearray(b"0" * n)
     for a in members:
-        out |= 1 << (a % n)
-    return out
+        bits[n - 1 - a % n] = ord("1")
+    return int(bits, 2)
 
 
 def members_of(mask, n):

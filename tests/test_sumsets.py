@@ -19,6 +19,7 @@ from steinset.sumsets import (
 )
 
 from oracles import (
+    mask_of,
     members_of,
     naive_iterated,
     naive_pm,
@@ -299,20 +300,13 @@ def test_signed_product_stops_at_a_full_positive_part(monkeypatch):
     assert signed_product_counts(half, 2, 3) is CyclicSet.full(n)
     assert negated == []
 
+
 SATURATION_MODULI = [33, 64, 1000, 4097, 16384, 65536]
 
 
 def _first_convolution_size(n):
     """m*+1: the least smaller-operand size the kernel rule sends to the convolution."""
     return next(m for m in range(1, n + 1) if sumsets._convolution_pays(m, n))
-
-
-def _mask(members, n):
-    """mask_of in linear time, for operands with tens of thousands of members."""
-    bits = bytearray(b"0" * n)
-    for x in members:
-        bits[n - 1 - x % n] = ord("1")
-    return int(bits, 2)
 
 
 def _saturation_cases(n):
@@ -353,7 +347,7 @@ def _saturation_cases(n):
          [r for r in full if r != 3]),
     ]
     return [
-        (label, _mask(a, n), _mask(b, n), None if want is None else _mask(want, n))
+        (label, mask_of(a, n), mask_of(b, n), None if want is None else mask_of(want, n))
         for label, a, b, want in cases
     ]
 
