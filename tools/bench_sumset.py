@@ -1,10 +1,11 @@
 """L1 benchmark of ``sumset`` around the saturation probe, before and after a change.
 
 Times ``steinset.sumsets.sumset`` on a fixed grid of moduli and operand
-families, once with the library source of a git revision (the parent, by
-default) and once with ``src/`` of the working tree, each side in its own
-interpreter.  For every case it records which kernel ran and the median
-wall time over the repetitions, and writes one JSON file:
+families with two copies of the library in one interpreter: the source
+of a git revision (the parent, by default) and ``src/`` of the working
+tree.  Calls alternate between the two copies, so drift in machine speed
+hits both alike.  For every case it records which kernel each copy ran
+and the median wall time over the repetitions, and writes one JSON file:
 
     python tools/bench_sumset.py [--before REV] [--reps N] [--out FILE]
 
@@ -15,6 +16,7 @@ time; a full run takes a few minutes on a 2-vCPU machine.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -53,49 +55,44 @@ def _operands(family: str, n: int) -> tuple[int, int]:
     return a, a
 
 
-def _worker(src: str, reps: int) -> None:
-    """Measure every case with the library under ``src``; print one JSON object."""
-    sys.path.insert(0, src)
-    from steinset import sumsets
-    from steinset.groups import CyclicSet
-
-    ran: list[str] = []
-    for name in ("sumset_shift_or", "sumset_convolution"):
-        kernel = getattr(sumsets, name)
-        setattr(sumsets, name, lambda a, b, k=kernel, tag=name[7:]: ran.append(tag) or k(a, b))
-
-    out = {}
-    for n in MODULI:
-        for family in FAMILIES:
-            a, b = (CyclicSet(n, m) for m in _operands(family, n))
-            ran.clear()
-            result = sumsets.sumset(a, b)
-            kernel = ran[0] if ran else "none"
-            times = []
-            for _ in range(reps):
-                start = time.perf_counter()
-                sumsets.sumset(a, b)
-                times.append(time.perf_counter() - start)
-            out[f"{n} {family}"] = {
-                "kernel": kernel,
-                "full": result.is_full(),
-                "median_ms": round(statistics.median(times) * 1e3, 4),
-            }
-    print(json.dumps(out))
-
-
-def _run_worker(src: Path, reps: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", str(src), "--reps", str(reps)],
-        check=True, capture_output=True, text=True,
+def _load(src: Path, name: str):
+    """Import the ``steinset`` package under ``src`` as top-level package ``name``."""
+    init = src / "steinset" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
     )
-    return json.loads(proc.stdout)
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout.strip()
+class _Side:
+    """One copy of the library, with its kernel calls recorded."""
+
+    def __init__(self, package):
+        self.sumsets = sys.modules[package.__name__ + ".sumsets"]
+        self.CyclicSet = sys.modules[package.__name__ + ".groups"].CyclicSet
+        self.ran: list[str] = []
+        for name in ("sumset_shift_or", "sumset_convolution"):
+            kernel = getattr(self.sumsets, name)
+            setattr(self.sumsets, name,
+                    lambda a, b, k=kernel, tag=name[7:]: self.ran.append(tag) or k(a, b))
+
+    def first_call(self, a, b):
+        """Result mask and the kernel that ran ('none' if the dispatcher answered alone)."""
+        self.ran.clear()
+        mask = self.sumsets.sumset(a, b).mask
+        return mask, self.ran[0] if self.ran else "none"
+
+    def time_call(self, a, b) -> float:
+        start = time.perf_counter()
+        self.sumsets.sumset(a, b)
+        return time.perf_counter() - start
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
 def main() -> None:
@@ -103,57 +100,60 @@ def main() -> None:
     parser.add_argument("--before", default="HEAD~1", help="git revision measured as 'before'")
     parser.add_argument("--reps", type=int, default=5, help="timed calls per case and side")
     parser.add_argument("--out", default=str(ROOT / "BENCH_saturating_sumset.json"))
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.worker:
-        _worker(args.worker, args.reps)
-        return
 
-    before_sha = _git("rev-parse", args.before)
+    before_sha = _git("rev-parse", args.before).decode().strip()
+    cases = []
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "src.tar"
-        archive.write_bytes(
-            subprocess.run(
-                ["git", "archive", before_sha, "src"], cwd=ROOT, check=True, capture_output=True
-            ).stdout
-        )
+        archive.write_bytes(_git("archive", before_sha, "src"))
         with tarfile.open(archive) as tar:
             tar.extractall(tmp)
-        before = _run_worker(Path(tmp) / "src", args.reps)
-    after = _run_worker(ROOT / "src", args.reps)
+        sides = (_Side(_load(Path(tmp) / "src", "steinset_before")),
+                 _Side(_load(ROOT / "src", "steinset_after")))
+        for n in MODULI:
+            for family in FAMILIES:
+                masks = _operands(family, n)
+                operands = [tuple(s.CyclicSet(n, m) for m in masks) for s in sides]
+                (old, old_kernel), (new, new_kernel) = (
+                    s.first_call(*ops) for s, ops in zip(sides, operands)
+                )
+                if old != new:
+                    raise SystemExit(f"n={n} {family}: results differ before and after")
+                times: tuple[list[float], list[float]] = ([], [])
+                for rep in range(args.reps):
+                    order = (0, 1) if rep % 2 == 0 else (1, 0)
+                    for i in order:
+                        times[i].append(sides[i].time_call(*operands[i]))
+                before_ms, after_ms = (round(statistics.median(t) * 1e3, 4) for t in times)
+                case = {
+                    "n": n,
+                    "family": family,
+                    "full": new == (1 << n) - 1,
+                    "kernel_before": old_kernel,
+                    "kernel_after": new_kernel,
+                    "median_ms_before": before_ms,
+                    "median_ms_after": after_ms,
+                    "speedup": round(before_ms / after_ms, 2),
+                }
+                cases.append(case)
+                print(f"{n:>7} {family:<26} {old_kernel:>12} -> {new_kernel:<12} "
+                      f"{before_ms:>10.3f} -> {after_ms:>10.3f} ms  x{case['speedup']}", flush=True)
 
-    cases = []
-    for key, old in before.items():
-        new = after[key]
-        if old["full"] != new["full"]:
-            raise SystemExit(f"{key}: results differ before and after")
-        n, family = key.split(" ", 1)
-        cases.append({
-            "n": int(n),
-            "family": family,
-            "full": new["full"],
-            "kernel_before": old["kernel"],
-            "kernel_after": new["kernel"],
-            "median_ms_before": old["median_ms"],
-            "median_ms_after": new["median_ms"],
-            "speedup": round(old["median_ms"] / new["median_ms"], 2),
-        })
     record = {
         "label": "saturating_sumset",
         "layer": "L1 sumsets.sumset",
         "git_sha_before": before_sha,
-        "git_sha_after": _git("rev-parse", "HEAD"),
+        "git_sha_after": _git("rev-parse", "HEAD").decode().strip(),
         "worktree_dirty": bool(_git("status", "--porcelain", "--", "src")),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "reps": args.reps,
-        "kernel": "kernel that sumset ran: shift_or, convolution, or none (answered by the saturation probe or a full operand)",
+        "kernel": "kernel that sumset ran: shift_or, convolution, or none "
+                  "(answered by the saturation probe or a full operand)",
         "cases": cases,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    for c in cases:
-        print(f"{c['n']:>7} {c['family']:<26} {c['kernel_before']:>12} -> {c['kernel_after']:<12} "
-              f"{c['median_ms_before']:>10.3f} -> {c['median_ms_after']:>10.3f} ms  x{c['speedup']}")
 
 
 if __name__ == "__main__":
