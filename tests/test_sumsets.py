@@ -289,7 +289,6 @@ def test_full_results_are_the_shared_full_set():
     assert sumset(pair, pair) == cs(n, [0, 1, 2])
 
 
-
 def test_signed_product_stops_at_a_full_positive_part(monkeypatch):
     n = 300
     half = cs(n, range(n // 2 + 1))
