@@ -151,9 +151,10 @@ _STALL_WINDOW = 4
 
 
 def _probe_budget(m: int, n: int) -> int:
-    """Rotations the saturation probe may spend: at most m, a quarter of the
-    convolution's modelled cost w*n/F, and 4*bitlen(n) + 16."""
-    return min(m, _field_width(m) * n // (4 * CONVOLUTION_FACTOR), 4 * n.bit_length() + 16)
+    """Rotations the saturation probe may spend: at most a quarter of the
+    convolution's modelled cost w*n/F, and 4*bitlen(n) + 16.  The probe
+    also stops after the m members of the smaller operand."""
+    return min(_field_width(m) * n // (4 * CONVOLUTION_FACTOR), 4 * n.bit_length() + 16)
 
 
 def _rotations_cover(small: int, big: int, n: int, budget: int) -> bool:
@@ -163,11 +164,13 @@ def _rotations_cover(small: int, big: int, n: int, budget: int) -> bool:
     proves nothing: the probe stops after ``budget`` rotations, or once
     the uncovered count left by the first rotation has not halved once per
     _STALL_WINDOW rotations since (intervals, subgroups and cosets stop at
-    the first check).
+    the first check), or once ``small`` has no members left.
     """
     full = (1 << n) - 1
     acc = 0
     for i in range(budget):
+        if not small:
+            return False
         low = small & -small
         acc |= rotate_mask(big, low.bit_length() - 1, n)
         if acc == full:

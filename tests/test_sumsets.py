@@ -384,6 +384,15 @@ def test_probe_gives_up_early_on_structured_sums(monkeypatch):
             assert len(rotations) == 5, label
 
 
+def test_probe_stops_when_the_smaller_operand_runs_out():
+    # {0} + (Z_n minus 0) is not full; a probe rotating past the last member
+    # of {0} would OR in a shift by -1 and cover the missing residue
+    n = 64
+    big = ((1 << n) - 1) ^ 1
+    assert not sumsets._rotations_cover(1, big, n, 10)
+    assert sumsets._rotations_cover(0b11, big, n, 10)
+
+
 @pytest.mark.parametrize("n", SATURATION_MODULI)
 def test_probed_full_result_is_the_shared_full_set(n):
     rng = random.Random(n + 1)

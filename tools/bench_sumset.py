@@ -2,12 +2,12 @@
 
 Times ``steinset.sumsets.sumset`` on a fixed grid of moduli and operand
 families with two copies of the library in one interpreter: the source
-of a git revision (the parent, by default) and ``src/`` of the working
-tree.  Calls alternate between the two copies, so drift in machine speed
+of a given git revision (the base of the change) and ``src/`` of the
+working tree.  Calls alternate between the two copies, so drift in machine speed
 hits both alike.  For every case it records which kernel each copy ran
-and the median wall time over the repetitions, and writes one JSON file:
+and the median wall time over REPS calls a side, and writes one JSON file:
 
-    python tools/bench_sumset.py [--before REV] [--reps N] [--out FILE]
+    python tools/bench_sumset.py REV [--out FILE]
 
 Standard library only.  The largest modulus (262144) dominates the run
 time; a full run takes a few minutes on a 2-vCPU machine.
@@ -32,24 +32,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODULI = (1000, 4096, 16384, 65536, 262144)
 FAMILIES = ("random half-density pair", "interval self-sum", "2Z_n self-sum", "near miss")
-
-
-def _mask(members, n: int) -> int:
-    bits = bytearray(b"0" * n)
-    for x in members:
-        bits[n - 1 - x % n] = ord("1")
-    return int(bits, 2)
+REPS = 9  # timed calls per case and side
 
 
 def _operands(family: str, n: int) -> tuple[int, int]:
-    """Seeded operand masks; every family puts at least n/4 members in each."""
-    if family == "random half-density pair":
+    """Seeded operand masks for an even modulus n, each with 3n/8 members or more."""
+    if family == "random half-density pair":  # each residue in each set with probability 1/2
         rng = random.Random(n)
-        return _mask(rng.sample(range(n), n // 2), n), _mask(rng.sample(range(n), n // 2), n)
+        return rng.getrandbits(n), rng.getrandbits(n)
     if family == "interval self-sum":  # [0, 3n/8): the sum misses n/4 residues
         a = (1 << (3 * n // 8)) - 1
-    elif family == "2Z_n self-sum":
-        a = _mask(range(0, n, 2), n)
+    elif family == "2Z_n self-sum":  # binary 0101...01, the even residues
+        a = ((1 << n) - 1) // 3
     else:  # A = B = [0, (n-1)/2]: the sum misses exactly n - 1 for even n
         a = (1 << ((n - 1) // 2 + 1)) - 1
     return a, a
@@ -97,12 +91,11 @@ def _git(*args: str) -> bytes:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--before", default="HEAD~1", help="git revision measured as 'before'")
-    parser.add_argument("--reps", type=int, default=5, help="timed calls per case and side")
+    parser.add_argument("rev", help="git revision measured as 'before'")
     parser.add_argument("--out", default=str(ROOT / "BENCH_saturating_sumset.json"))
     args = parser.parse_args()
 
-    before_sha = _git("rev-parse", args.before).decode().strip()
+    before_sha = _git("rev-parse", args.rev).decode().strip()
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "src.tar"
@@ -121,7 +114,7 @@ def main() -> None:
                 if old != new:
                     raise SystemExit(f"n={n} {family}: results differ before and after")
                 times: tuple[list[float], list[float]] = ([], [])
-                for rep in range(args.reps):
+                for rep in range(REPS):
                     order = (0, 1) if rep % 2 == 0 else (1, 0)
                     for i in order:
                         times[i].append(sides[i].time_call(*operands[i]))
@@ -148,7 +141,7 @@ def main() -> None:
         "worktree_dirty": bool(_git("status", "--porcelain", "--", "src")),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "reps": args.reps,
+        "reps": REPS,
         "kernel": "kernel that sumset ran: shift_or, convolution, or none "
                   "(answered by the saturation probe or a full operand)",
         "cases": cases,
