@@ -48,10 +48,10 @@ applied in three steps:
 
 Measured with ``tools/bench_sumset.py`` (median of 9 alternating calls,
 same VM; BENCH_saturating_sumset.json), random half-density pairs now
-take 0.03 / 0.05 / 0.08 / 0.40 / 1.7 ms at n = 1000 / 4096 / 16384 /
-65536 / 262144, 13x to 2100x less than the convolution.  Sums that are
+take 0.02 / 0.08 / 0.16 / 0.41 / 1.8 ms at n = 1000 / 4096 / 16384 /
+65536 / 262144, 15x to 1900x less than the convolution.  Sums that are
 not full (an interval [0, 3n/8), 2Z_n, and [0, (n-1)/2] whose sum misses
-one residue) take 0.89x-1.10x their time before the probe.
+one residue) take 0.89x-1.11x their time before the probe.
 
 The test suite cross-checks the two kernels bit for bit.  Empty operands
 are rejected rather than propagated: a silently empty sumset usually
