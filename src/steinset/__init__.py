@@ -10,98 +10,66 @@ a verified append-only result store (``store``), and a CLI (``cli``).
 
 __version__ = "0.1.0"
 
-from .groups import (
-    AffineMap,
-    CyclicSet,
-    EmptySetError,
-    ModulusMismatchError,
-    all_affine_maps,
-)
-from .haight import (
-    HaightWitness,
-    SearchConfig,
-    Xorshift64Star,
-    exhaustive_search,
-    minimal_modulus,
-    stochastic_search,
-    verify_witness,
-)
-from .store import StoreRecord, StoreVerificationError, WitnessStore
-from .sumsets import (
-    iterated_sumset,
-    pm_product,
-    sign_count_classes,
-    signed_product,
-    signed_product_counts,
-    sumset,
-    sumset_convolution,
-    sumset_shift_or,
-)
-from .thick import (
-    BigInterval,
-    BudgetExceededError,
-    IndependenceResult,
-    ThickFamilySpec,
-    contains_run,
-    independence_check,
-    power_tower,
-    thick_intervals,
-    xi_sequence,
-)
-from .verdicts import (
-    HaightSequenceReport,
-    NotSymmetricError,
-    SeqSpec,
-    Verdict,
-    WitnessChainError,
-    eps_verdict,
-    example_family_c2n1,
-    pm_verdict,
-    sym_verdict,
-    verify_haight_sequence,
-)
+# public name -> submodule defining it.  Submodules are imported on first
+# access (PEP 562), so a CLI command loads only the modules it runs.
+_EXPORTS = {
+    "AffineMap": "groups",
+    "BigInterval": "thick",
+    "BudgetExceededError": "thick",
+    "CyclicSet": "groups",
+    "EmptySetError": "groups",
+    "HaightSequenceReport": "verdicts",
+    "HaightWitness": "haight",
+    "IndependenceResult": "thick",
+    "ModulusMismatchError": "groups",
+    "NotSymmetricError": "verdicts",
+    "SearchConfig": "haight",
+    "SeqSpec": "verdicts",
+    "StoreRecord": "store",
+    "StoreVerificationError": "store",
+    "ThickFamilySpec": "thick",
+    "Verdict": "verdicts",
+    "WitnessChainError": "verdicts",
+    "WitnessStore": "store",
+    "Xorshift64Star": "haight",
+    "all_affine_maps": "groups",
+    "contains_run": "thick",
+    "eps_verdict": "verdicts",
+    "example_family_c2n1": "verdicts",
+    "exhaustive_search": "haight",
+    "independence_check": "thick",
+    "iterated_sumset": "sumsets",
+    "minimal_modulus": "haight",
+    "pm_product": "sumsets",
+    "pm_verdict": "verdicts",
+    "power_tower": "thick",
+    "sign_count_classes": "sumsets",
+    "signed_product": "sumsets",
+    "signed_product_counts": "sumsets",
+    "stochastic_search": "haight",
+    "sumset": "sumsets",
+    "sumset_convolution": "sumsets",
+    "sumset_shift_or": "sumsets",
+    "sym_verdict": "verdicts",
+    "thick_intervals": "thick",
+    "verify_haight_sequence": "verdicts",
+    "verify_witness": "haight",
+    "xi_sequence": "thick",
+}
 
-__all__ = [
-    "AffineMap",
-    "BigInterval",
-    "BudgetExceededError",
-    "CyclicSet",
-    "EmptySetError",
-    "HaightSequenceReport",
-    "HaightWitness",
-    "IndependenceResult",
-    "ModulusMismatchError",
-    "NotSymmetricError",
-    "SearchConfig",
-    "SeqSpec",
-    "StoreRecord",
-    "StoreVerificationError",
-    "ThickFamilySpec",
-    "Verdict",
-    "WitnessChainError",
-    "WitnessStore",
-    "Xorshift64Star",
-    "all_affine_maps",
-    "contains_run",
-    "eps_verdict",
-    "example_family_c2n1",
-    "exhaustive_search",
-    "independence_check",
-    "iterated_sumset",
-    "minimal_modulus",
-    "pm_product",
-    "pm_verdict",
-    "power_tower",
-    "sign_count_classes",
-    "signed_product",
-    "signed_product_counts",
-    "stochastic_search",
-    "sumset",
-    "sumset_convolution",
-    "sumset_shift_or",
-    "sym_verdict",
-    "thick_intervals",
-    "verify_haight_sequence",
-    "verify_witness",
-    "xi_sequence",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -11,53 +11,26 @@ or comma separated ("+1,-1,+1").
 
 The default store directory is ``./steinset-store``, overridable with
 --store-dir or the STEINSET_STORE_DIR environment variable.
+
+Each command handler imports the modules it uses, and ``main`` imports the
+library's error classes only when a handler raises, so a process loads
+only what its command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 import os
-from dataclasses import dataclass
-from pathlib import Path
+import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .groups import CyclicSet
-from .haight import (
-    HaightWitness,
-    SearchConfig,
-    exhaustive_search,
-    minimal_modulus,
-    stochastic_search,
-    verify_witness,
-)
-from .store import (
-    StoreVerificationError,
-    WitnessStore,
-    make_haight_record,
-    make_verdict_record,
-    make_xi_record,
-)
-from .sumsets import iterated_sumset, pm_product, signed_product, sumset
-from .thick import (
-    DEFAULT_TUPLE_CAP,
-    BudgetExceededError,
-    ThickFamilySpec,
-    independence_check,
-    thick_intervals,
-)
-from .verdicts import (
-    VERDICTS,
-    NotSymmetricError,
-    SeqSpec,
-    Verdict,
-    WitnessChainError,
-    example_family_c2n1,
-    pm_verdict,
-    sym_verdict,
-    verify_haight_sequence,
-)
+
+if TYPE_CHECKING:
+    from .groups import CyclicSet
+    from .haight import HaightWitness
+    from .verdicts import Verdict
 
 DEFAULT_STORE_DIR = "steinset-store"
 STORE_DIR_ENV = "STEINSET_STORE_DIR"
@@ -67,18 +40,14 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class CliConfig:
-    store_dir: Path
-    output: str
-    seed: int
-    no_timestamp: bool
+def _timestamp(args) -> int | None:
+    return 0 if args.no_timestamp else None
 
-    def timestamp(self) -> int | None:
-        return 0 if self.no_timestamp else None
 
-    def open_store(self) -> WitnessStore:
-        return WitnessStore(self.store_dir)
+def _open_store(args):
+    from .store import WitnessStore
+
+    return WitnessStore(args.store_dir)
 
 
 def _parse_literal(parse, text: str):
@@ -109,8 +78,8 @@ def parse_signs(text: str) -> tuple[int, ...]:
     raise UsageError(f"bad sign vector {text!r}")
 
 
-def emit(cfg: CliConfig, obj: dict, lines: list[str]) -> None:
-    if cfg.output == "structured":
+def emit(args, obj: dict, lines: list[str]) -> None:
+    if args.output == "structured":
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
         for line in lines:
@@ -126,7 +95,7 @@ def _verdict_lines(v: Verdict) -> list[str]:
     return [f"verdict: Fails (cycle positions {','.join(map(str, v.witnesses))})"]
 
 
-def _emit_set_result(cfg: CliConfig, command: str, params: dict, result: CyclicSet) -> None:
+def _emit_set_result(args, command: str, params: dict, result: CyclicSet) -> None:
     obj = {
         "command": command,
         **params,
@@ -138,41 +107,55 @@ def _emit_set_result(cfg: CliConfig, command: str, params: dict, result: CyclicS
         f"result: {result.to_literal()}",
         f"full: {'yes' if result.is_full() else 'no'}",
     ]
-    emit(cfg, obj, lines)
+    emit(args, obj, lines)
 
 
 # ---------------------------------------------------------------- handlers
 
 
-def cmd_sumset(args, cfg: CliConfig) -> int:
+def cmd_sumset(args) -> int:
+    from .groups import CyclicSet
+    from .sumsets import sumset
+
     a = _parse_literal(CyclicSet.parse, args.a)
     b = _parse_literal(CyclicSet.parse, args.b)
-    _emit_set_result(cfg, "sumset", {"a": a.to_literal(), "b": b.to_literal()}, sumset(a, b))
+    _emit_set_result(args, "sumset", {"a": a.to_literal(), "b": b.to_literal()}, sumset(a, b))
     return 0
 
 
-def cmd_ksum(args, cfg: CliConfig) -> int:
+def cmd_ksum(args) -> int:
+    from .groups import CyclicSet
+    from .sumsets import iterated_sumset
+
     a = _parse_literal(CyclicSet.parse, args.a)
-    _emit_set_result(cfg, "ksum", {"a": a.to_literal(), "k": args.k}, iterated_sumset(a, args.k))
+    _emit_set_result(args, "ksum", {"a": a.to_literal(), "k": args.k}, iterated_sumset(a, args.k))
     return 0
 
 
-def cmd_signed(args, cfg: CliConfig) -> int:
+def cmd_signed(args) -> int:
+    from .groups import CyclicSet
+    from .sumsets import signed_product
+
     a = _parse_literal(CyclicSet.parse, args.a)
     signs = parse_signs(args.eps)
     _emit_set_result(
-        cfg, "signed", {"a": a.to_literal(), "eps": list(signs)}, signed_product(a, signs)
+        args, "signed", {"a": a.to_literal(), "eps": list(signs)}, signed_product(a, signs)
     )
     return 0
 
 
-def cmd_pm(args, cfg: CliConfig) -> int:
+def cmd_pm(args) -> int:
+    from .groups import CyclicSet
+    from .sumsets import pm_product
+
     a = _parse_literal(CyclicSet.parse, args.a)
-    _emit_set_result(cfg, "pm", {"a": a.to_literal(), "m": args.m}, pm_product(a, args.m))
+    _emit_set_result(args, "pm", {"a": a.to_literal(), "m": args.m}, pm_product(a, args.m))
     return 0
 
 
-def cmd_verdict(args, cfg: CliConfig) -> int:
+def cmd_verdict(args) -> int:
+    from .verdicts import VERDICTS, SeqSpec
+
     op = args.op
     spec = _parse_literal(SeqSpec.parse, args.spec)
     param = parse_signs(args.eps) if op == "eps" else args.m
@@ -183,14 +166,18 @@ def cmd_verdict(args, cfg: CliConfig) -> int:
         **({"eps": list(param)} if op == "eps" else {"m": param}),
         **verdict.to_json_obj(),
     }
-    emit(cfg, obj, _verdict_lines(verdict))
+    emit(args, obj, _verdict_lines(verdict))
     if args.store:
-        record = make_verdict_record(op, spec, param, verdict, producer=_producer(cfg), created_at=cfg.timestamp())
-        cfg.open_store().append(record)
+        from .store import make_verdict_record
+
+        record = make_verdict_record(op, spec, param, verdict, producer=_producer(args), created_at=_timestamp(args))
+        _open_store(args).append(record)
     return 0
 
 
-def cmd_example_c2n1(args, cfg: CliConfig) -> int:
+def cmd_example_c2n1(args) -> int:
+    from .verdicts import example_family_c2n1, pm_verdict, sym_verdict
+
     n = args.n
     spec = example_family_c2n1(n)
     holds = sym_verdict(spec, n)
@@ -209,24 +196,26 @@ def cmd_example_c2n1(args, cfg: CliConfig) -> int:
         f"sym verdict at m={n}: {holds.kind()}",
         f"pm verdict at m={n - 1}: {fails.kind()}",
     ]
-    emit(cfg, obj, lines)
+    emit(args, obj, lines)
     return 0
 
 
-def _producer(cfg: CliConfig, **extra) -> dict:
-    return {"version": __version__, "seed": cfg.seed, **extra}
+def _producer(args, **extra) -> dict:
+    return {"version": __version__, "seed": args.seed, **extra}
 
 
-def _emit_witness_records(cfg: CliConfig, witnesses, producer: dict, store: bool) -> None:
+def _emit_witness_records(args, witnesses, producer: dict, store: bool) -> None:
+    from .store import make_haight_record
+
     records = [
-        make_haight_record(w, producer=producer, created_at=cfg.timestamp())
+        make_haight_record(w, producer=producer, created_at=_timestamp(args))
         for w in witnesses
     ]
     if store:
-        st = cfg.open_store()
+        st = _open_store(args)
         for record in records:
             st.append(record)
-    if cfg.output == "structured":
+    if args.output == "structured":
         for record in records:
             print(record.to_json_line())
     else:
@@ -234,14 +223,16 @@ def _emit_witness_records(cfg: CliConfig, witnesses, producer: dict, store: bool
             print(f"witness k={w.k} n={w.modulus} set={w.subset.to_literal()} cert={w.certificate}")
 
 
-def cmd_haight_search(args, cfg: CliConfig) -> int:
+def cmd_haight_search(args) -> int:
+    from .haight import SearchConfig, exhaustive_search, stochastic_search
+
     lo, hi = _parse_range(args.n_range)
     search_cfg = SearchConfig(
         k=args.k,
         n_range=(lo, hi),
         mode=args.mode,
         budget=args.budget,
-        seed=args.search_seed if args.search_seed is not None else cfg.seed,
+        seed=args.search_seed if args.search_seed is not None else args.seed,
         max_set_size=args.max_set_size,
     )
     if args.mode == "exhaustive":
@@ -249,15 +240,20 @@ def cmd_haight_search(args, cfg: CliConfig) -> int:
     else:
         witnesses = stochastic_search(search_cfg)
     producer = _producer(
-        cfg, mode=args.mode, budget=search_cfg.budget, k=args.k, seed=search_cfg.seed
+        args, mode=args.mode, budget=search_cfg.budget, k=args.k, seed=search_cfg.seed
     )
-    _emit_witness_records(cfg, witnesses, producer, store=not args.no_store)
+    _emit_witness_records(args, witnesses, producer, store=not args.no_store)
     summary = {"command": "haight-search", "k": args.k, "count": len(witnesses)}
-    emit(cfg, summary, [f"found {len(witnesses)} witness class(es)"])
+    emit(args, summary, [f"found {len(witnesses)} witness class(es)"])
     return 0
 
 
-def cmd_haight_verify(args, cfg: CliConfig) -> int:
+def cmd_haight_verify(args) -> int:
+    from pathlib import Path
+
+    from .haight import HaightWitness, verify_witness
+    from .verdicts import verify_haight_sequence
+
     path = Path(args.file)
     if not path.exists():
         raise UsageError(f"no such file: {path}")
@@ -296,7 +292,7 @@ def cmd_haight_verify(args, cfg: CliConfig) -> int:
             f"chain k=1..{report.count}: pm verdict at 2 {report.pm2.kind()}"
             f" via {report.pm2.sign_class}, all-plus verdicts fail up to m={report.count}"
         )
-    emit(cfg, obj, lines)
+    emit(args, obj, lines)
     return 1 if failures else 0
 
 
@@ -304,36 +300,42 @@ def _is_complete_chain(witnesses: list[HaightWitness]) -> bool:
     return bool(witnesses) and all(w.k == i + 1 for i, w in enumerate(witnesses))
 
 
-def cmd_haight_minimal(args, cfg: CliConfig) -> int:
+def cmd_haight_minimal(args) -> int:
+    from .haight import minimal_modulus
+
     found = minimal_modulus(args.k, args.cap)
     if found is None:
         emit(
-            cfg,
+            args,
             {"command": "haight-minimal", "k": args.k, "cap": args.cap, "n": None},
             [f"no witness for k={args.k} with modulus <= {args.cap}"],
         )
         return 0
     n, witness = found
-    producer = _producer(cfg, mode="exhaustive", k=args.k)
-    _emit_witness_records(cfg, [witness], producer, store=not args.no_store)
+    producer = _producer(args, mode="exhaustive", k=args.k)
+    _emit_witness_records(args, [witness], producer, store=not args.no_store)
     emit(
-        cfg,
+        args,
         {"command": "haight-minimal", "k": args.k, "cap": args.cap, "n": n},
         [f"minimal modulus for k={args.k}: n={n}"],
     )
     return 0
 
 
-def cmd_lemma1_xi(args, cfg: CliConfig) -> int:
-    record = make_xi_record(args.m, producer=_producer(cfg), created_at=cfg.timestamp())
+def cmd_lemma1_xi(args) -> int:
+    from .store import make_xi_record
+
+    record = make_xi_record(args.m, producer=_producer(args), created_at=_timestamp(args))
     p = record.payload
-    emit(cfg, {"command": "lemma1-xi", **p}, [f"xi({p['m']}) = {p['xi']}", f"Xi({p['m']}) = {p['Xi']}"])
+    emit(args, {"command": "lemma1-xi", **p}, [f"xi({p['m']}) = {p['xi']}", f"Xi({p['m']}) = {p['Xi']}"])
     if args.store:
-        cfg.open_store().append(record)
+        _open_store(args).append(record)
     return 0
 
 
-def cmd_lemma1_intervals(args, cfg: CliConfig) -> int:
+def cmd_lemma1_intervals(args) -> int:
+    from .thick import ThickFamilySpec, thick_intervals
+
     spec = _parse_literal(ThickFamilySpec.parse, args.spec)
     blocks = thick_intervals(spec)
     obj = {
@@ -348,13 +350,16 @@ def cmd_lemma1_intervals(args, cfg: CliConfig) -> int:
     for i, chunk in enumerate(blocks):
         lines.append(f"set {i}:")
         lines += [f"  a={b.index}: [{b.lo}, {b.hi}]" for b in chunk]
-    emit(cfg, obj, lines)
+    emit(args, obj, lines)
     return 0
 
 
-def cmd_lemma1_independence(args, cfg: CliConfig) -> int:
+def cmd_lemma1_independence(args) -> int:
+    from .thick import DEFAULT_TUPLE_CAP, ThickFamilySpec, independence_check
+
     spec = _parse_literal(ThickFamilySpec.parse, args.spec)
-    result = independence_check(spec, args.m, tuple_cap=args.tuple_cap)
+    cap = DEFAULT_TUPLE_CAP if args.tuple_cap is None else args.tuple_cap
+    result = independence_check(spec, args.m, tuple_cap=cap)
     obj = {
         "command": "lemma1-independence",
         "spec": spec.to_literal(),
@@ -377,12 +382,12 @@ def cmd_lemma1_independence(args, cfg: CliConfig) -> int:
             f"zero sum: sets {list(ce.set_indices)}, points {list(ce.points)},"
             f" coefficients {list(ce.coefficients)}"
         )
-    emit(cfg, obj, lines)
+    emit(args, obj, lines)
     return 0 if result.passed else 1
 
 
-def cmd_store_reverify(args, cfg: CliConfig) -> int:
-    report = cfg.open_store().reverify_all()
+def cmd_store_reverify(args) -> int:
+    report = _open_store(args).reverify_all()
     obj = {
         "command": "store-reverify",
         "total": report.total,
@@ -395,7 +400,7 @@ def cmd_store_reverify(args, cfg: CliConfig) -> int:
         f" failures: {len(report.failures)}, malformed lines: {report.malformed_lines}"
     ]
     lines += [f"  position {p}: {r}" for p, r in report.failures]
-    emit(cfg, obj, lines)
+    emit(args, obj, lines)
     return 0 if report.clean else 1
 
 
@@ -509,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = lsub.add_parser("independence", help="exhaustive non-vanishing combination check")
     p.add_argument("spec")
     p.add_argument("m", type=int)
-    p.add_argument("--tuple-cap", type=int, default=DEFAULT_TUPLE_CAP)
+    p.add_argument("--tuple-cap", type=int, default=None)  # None: thick.DEFAULT_TUPLE_CAP
     p.set_defaults(func=cmd_lemma1_independence)
 
     storep = sub.add_parser("store", help="result store maintenance")
@@ -523,26 +528,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = CliConfig(
-        store_dir=Path(args.store_dir),
-        output=args.output,
-        seed=args.seed,
-        no_timestamp=args.no_timestamp,
-    )
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotSymmetricError, StoreVerificationError, WitnessChainError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, RuntimeError) as exc:
+        # the error classes are imported only on this path
+        from .store import StoreVerificationError
+        from .thick import BudgetExceededError
+        from .verdicts import NotSymmetricError, WitnessChainError
+
+        if isinstance(exc, (NotSymmetricError, StoreVerificationError, WitnessChainError)):
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return 1
+        if isinstance(exc, BudgetExceededError):
+            print(f"refused: {exc}", file=sys.stderr)
+            return 1
+        if isinstance(exc, ValueError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        raise
 
 
 if __name__ == "__main__":

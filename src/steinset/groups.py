@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
 from math import gcd
 from operator import sub
 from typing import Iterable, Iterator
+
+from .values import Value, set_field
 
 # Guard against accidental huge allocations; one bit per residue.
 MAX_MODULUS = 1 << 20
@@ -33,6 +34,9 @@ _LITERAL_RE = re.compile(r"^\s*(\d+)\s*:\s*\{([^{}]*)\}\s*$")
 # users; a dead entry costs one weak reference per modulus ever used.
 _FULL_SETS: dict[int, weakref.ref] = {}
 
+# bytes.translate table: byte 0/1 to ASCII '0'/'1'
+_BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class ModulusMismatchError(ValueError):
     """Operands live in different cyclic groups."""
@@ -40,6 +44,24 @@ class ModulusMismatchError(ValueError):
 
 class EmptySetError(ValueError):
     """The operation requires a non-empty set."""
+
+
+def _packed_mask(n: int, members: Iterable[int]) -> int:
+    """Mask of the residues of ``members`` mod n, in time linear in n plus their number.
+
+    ``mask |= 1 << a`` copies the whole mask per member, which is quadratic
+    for dense sets at large n; one byte per residue, read as a base-2
+    numeral, is not.
+    """
+    if n > MAX_MODULUS:  # the message CyclicSet gives, before a huge allocation
+        raise ValueError(f"modulus must be in [1, {MAX_MODULUS}], got {n}")
+    if n < 1:
+        return 0
+    bits = bytearray(n)
+    for a in members:
+        bits[a % n] = 1
+    bits.reverse()  # residue n - 1 first: the most significant digit
+    return int(bits.translate(_BYTE_TO_DIGIT), 2)
 
 
 def rotate_mask(mask: int, shift: int, n: int) -> int:
@@ -126,16 +148,16 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(u for u in range(n) if gcd(u, n) == 1)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Value):
     """Bijection x -> unit*x + shift (mod modulus); requires gcd(unit, n) = 1."""
 
-    unit: int
-    shift: int
-    modulus: int
+    __slots__ = ("unit", "shift", "modulus")
 
-    def __post_init__(self) -> None:
-        n = self.modulus
+    def __init__(self, unit: int, shift: int, modulus: int) -> None:
+        set_field(self, "unit", unit)
+        set_field(self, "shift", shift)
+        set_field(self, "modulus", modulus)
+        n = modulus
         if n < 1:
             raise ValueError(f"modulus must be positive, got {n}")
         if not (0 <= self.unit < n and 0 <= self.shift < n):
@@ -154,14 +176,18 @@ def all_affine_maps(n: int) -> Iterator[AffineMap]:
             yield AffineMap(u, c, n)
 
 
-@dataclass(frozen=True)
-class CyclicSet:
+class CyclicSet(Value):
     """A subset of Z_n: ``modulus`` n and a membership bitmask (bit r <=> r in A)."""
 
-    modulus: int
-    mask: int
+    __slots__ = ("modulus", "mask", "__weakref__")
+
+    def __init__(self, modulus: int, mask: int) -> None:
+        set_field(self, "modulus", modulus)
+        set_field(self, "mask", mask)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validation; a class attribute that ``__init__`` looks up on each call."""
         if not 1 <= self.modulus <= MAX_MODULUS:
             raise ValueError(
                 f"modulus must be in [1, {MAX_MODULUS}], got {self.modulus}"
@@ -174,10 +200,7 @@ class CyclicSet:
         """Build from residues; values are reduced mod ``modulus``."""
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
-        mask = 0
-        for a in members:
-            mask |= 1 << (a % modulus)
-        return cls(modulus, mask)
+        return cls(modulus, _packed_mask(modulus, members))
 
     @classmethod
     def full(cls, modulus: int) -> "CyclicSet":
@@ -201,14 +224,14 @@ class CyclicSet:
             raise ValueError(f"malformed set literal: {text!r}")
         n = int(m.group(1))
         body = m.group(2).strip()
-        mask = 0
+        residues = []
         if body:
             for tok in body.split(","):
                 a = int(tok)
                 if not 0 <= a < n:
                     raise ValueError(f"residue {a} out of range for modulus {n}")
-                mask |= 1 << a
-        return cls(n, mask)
+                residues.append(a)
+        return cls(n, _packed_mask(n, residues))
 
     def to_literal(self) -> str:
         return f"{self.modulus}:{{{','.join(str(a) for a in self.members())}}}"

@@ -35,7 +35,6 @@ in tests/oracles.py).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Literal
 
 from .groups import (
@@ -46,6 +45,7 @@ from .groups import (
     negate_mask,
 )
 from .sumsets import iterated_sumset, signed_product_counts, sumset_mask
+from .values import Value, set_field
 
 # Exhaustive enumeration is refused beyond this modulus: the candidate
 # space grows as 2^(n-1) even after fixing 0 in A, and the kA-full cut only
@@ -97,13 +97,15 @@ def modulus_stream_seed(seed: int, n: int) -> int:
     return (seed ^ (n * 0x9E3779B97F4A7C15)) & _MASK64
 
 
-@dataclass(frozen=True)
-class HaightWitness:
+class HaightWitness(Value):
     """k, the set A, and one residue certifying that kA is not all of Z_n."""
 
-    k: int
-    subset: CyclicSet
-    certificate: int
+    __slots__ = ("k", "subset", "certificate", "__weakref__")
+
+    def __init__(self, k: int, subset: CyclicSet, certificate: int) -> None:
+        set_field(self, "k", k)
+        set_field(self, "subset", subset)
+        set_field(self, "certificate", certificate)
 
     @property
     def modulus(self) -> int:
@@ -142,16 +144,24 @@ def verify_witness(w: HaightWitness) -> tuple[bool, str | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    k: int
-    n_range: tuple[int, int]
-    mode: Literal["exhaustive", "stochastic"] = "exhaustive"
-    budget: int = 100_000
-    seed: int = 0
-    max_set_size: int | None = None
+class SearchConfig(Value):
+    __slots__ = ("k", "n_range", "mode", "budget", "seed", "max_set_size")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        k: int,
+        n_range: tuple[int, int],
+        mode: Literal["exhaustive", "stochastic"] = "exhaustive",
+        budget: int = 100_000,
+        seed: int = 0,
+        max_set_size: int | None = None,
+    ) -> None:
+        set_field(self, "k", k)
+        set_field(self, "n_range", n_range)
+        set_field(self, "mode", mode)
+        set_field(self, "budget", budget)
+        set_field(self, "seed", seed)
+        set_field(self, "max_set_size", max_set_size)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         lo, hi = self.n_range

@@ -16,37 +16,57 @@ defect (missing field, bad type or value, failed recomputation) raises
 
 Duplicates are keyed on (kind, canonical payload) and never re-appended;
 the producer fingerprint and timestamp do not participate in identity.
-Writes are serialized through one lock (single writer, many readers).  Each
-record is one write call, preceded by a newline if a crash left the last
-line unterminated, so a torn line stays one malformed line.
 Sets are serialized as sorted residue arrays and big integers as decimal
 strings, so records are byte-stable.
+
+Opening a store does not parse it.  A line in the exact text that
+``StoreRecord.to_json_line`` writes for the payload and producer fields
+this library uses (so every line the CLI appends) is trusted: its dedup
+key ``kind|<payload json>`` is read off the text, which is the key
+``append`` builds, and the line is parsed only when ``query`` or
+``reverify_all`` first needs the records.  Any other line (reordered keys,
+extra whitespace, a hand edit) is parsed at open and keyed on its payload
+as written.  Trust is not verification: ``reverify_all`` recomputes every
+record, trusted or not, and reports any payload that is not canonical.
+
+Writes are serialized by a thread lock within a process and an exclusive
+``flock`` on the file across processes.  Each record is one write call,
+preceded by a newline if the file does not end in one (a crash left its
+last line unterminated), so a torn line stays one malformed line.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import re
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .haight import HaightWitness, canonical_witness, verify_witness
-from .thick import xi_sequence
-from .verdicts import VERDICTS, SeqSpec, Verdict
+from .values import Value, set_field
+
+if TYPE_CHECKING:
+    from .haight import HaightWitness
+    from .verdicts import SeqSpec, Verdict
 
 
 class StoreVerificationError(ValueError):
     """Payload failed its verification gate."""
 
 
-@dataclass(frozen=True)
-class StoreRecord:
-    kind: str
-    payload: dict
-    created_at: int
-    producer: dict = field(default_factory=dict)
+class StoreRecord(Value):
+    __slots__ = ("kind", "payload", "created_at", "producer")
+
+    def __init__(
+        self, kind: str, payload: dict, created_at: int, producer: dict | None = None
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "payload", payload)
+        set_field(self, "created_at", created_at)
+        set_field(self, "producer", {} if producer is None else producer)
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -76,6 +96,8 @@ def _verdict_payload(op: str, spec: SeqSpec, param: Any, verdict: Verdict) -> di
 
 
 def _xi_payload(m: int) -> dict:
+    from .thick import xi_sequence
+
     xi, big_xi = xi_sequence(m)
     return {"m": m, "xi": xi, "Xi": str(big_xi)}
 
@@ -102,6 +124,8 @@ def make_xi_record(m: int, producer: dict | None = None, created_at: int | None 
 
 
 def _canonical_haight_payload(payload: dict) -> dict:
+    from .haight import HaightWitness, canonical_witness, verify_witness
+
     witness = HaightWitness.from_json_obj(payload)
     ok, reason = verify_witness(witness)
     if not ok:
@@ -110,6 +134,8 @@ def _canonical_haight_payload(payload: dict) -> dict:
 
 
 def _canonical_verdict_payload(payload: dict) -> dict:
+    from .verdicts import VERDICTS, SeqSpec
+
     op = payload.get("op")
     if op not in VERDICTS:
         raise StoreVerificationError(f"unknown verdict op {op!r}")
@@ -156,12 +182,61 @@ def _dedup_key(kind: str, payload: dict) -> str:
     return kind + "|" + json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
-class ReverifyReport:
-    total: int
-    ok: int
-    failures: list[tuple[int, str]]
-    malformed_lines: int
+# The text to_json_line writes for the records this library makes: compact
+# JSON with sorted keys, whose payload and producer hold only the fields
+# below, each with its JSON type.  Strings are printable ASCII without
+# escapes and ints have at most 18 digits (json.loads may refuse longer
+# ones), so json.dumps(json.loads(x)) gives such text x back.  Any other
+# line (unknown or unsorted keys, whitespace, escapes, other value types)
+# is parsed at open instead.
+_STR = r'"[ !#-\[\]-~]*+"'
+_INT = r"(?:0|-?[1-9][0-9]{0,17})"
+_INTS = rf"\[(?:{_INT}(?:,{_INT})*+)?\]"
+_PAYLOAD_FIELDS = {
+    "cert": _INT, "k": _INT, "n": _INT, "set": _INTS,  # haight
+    "op": _STR, "spec": _STR, "signs": _INTS, "m": _INT, "holds": "true|false",  # verdict
+    "k0": _INT, "witnesses": _INTS, "sign_class": _INTS,
+    "xi": _INT, "Xi": _STR,  # xi
+}
+_PRODUCER_FIELDS = {"version": _STR, "seed": _INT, "mode": _STR, "budget": _INT, "k": _INT}
+
+
+def _object_pattern(fields: dict[str, str]) -> str:
+    # each field at most once, in sorted key order; a comma only between fields
+    return r"\{" + "".join(
+        rf'(?:"{key}":(?>{fields[key]})(?:,(?=")|(?=\}})))?+' for key in sorted(fields)
+    ) + r"\}"
+
+
+_CANONICAL_LINE = re.compile(
+    rf'\{{"created_at":{_INT},"kind":({_STR}),"payload":({_object_pattern(_PAYLOAD_FIELDS)}),'
+    rf'"producer":{_object_pattern(_PRODUCER_FIELDS)}\}}\n?'
+)
+
+
+def _parse_record(line: str) -> StoreRecord:
+    """The record on a JSON line; ValueError, KeyError or TypeError if malformed."""
+    obj = json.loads(line)
+    if not isinstance(obj["payload"], dict):
+        raise TypeError("payload is not an object")
+    return StoreRecord(
+        kind=obj["kind"],
+        payload=obj["payload"],
+        created_at=int(obj["created_at"]),
+        producer=obj.get("producer", {}),
+    )
+
+
+class ReverifyReport(Value):
+    __slots__ = ("total", "ok", "failures", "malformed_lines")
+
+    def __init__(
+        self, total: int, ok: int, failures: list[tuple[int, str]], malformed_lines: int
+    ) -> None:
+        set_field(self, "total", total)
+        set_field(self, "ok", ok)
+        set_field(self, "failures", failures)
+        set_field(self, "malformed_lines", malformed_lines)
 
     @property
     def clean(self) -> bool:
@@ -177,48 +252,50 @@ class WitnessStore:
         self.directory = Path(directory)
         self.path = self.directory / self.FILENAME
         self._lock = threading.Lock()
-        self._records: list[StoreRecord] = []
+        # a StoreRecord, or the text of a trusted line not parsed yet
+        self._entries: list[StoreRecord | str] = []
         self._positions: dict[str, int] = {}
         self.malformed_lines = 0
-        self._torn_tail = False
         self._load()
 
     def _load(self) -> None:
         if not self.path.exists():
             return
         lines = self.path.read_text(encoding="utf-8").splitlines(keepends=True)
-        # an interrupted append can leave the last line without its newline
-        self._torn_tail = bool(lines) and not lines[-1].endswith("\n")
         for lineno, line in enumerate(lines, 1):
-            if not line.strip():
+            m = _CANONICAL_LINE.fullmatch(line)
+            if m is not None:
+                entry, key = line, m[1][1:-1] + "|" + m[2]
+            elif not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj["payload"], dict):
-                    raise TypeError("payload is not an object")
-                record = StoreRecord(
-                    kind=obj["kind"],
-                    payload=obj["payload"],
-                    created_at=int(obj["created_at"]),
-                    producer=obj.get("producer", {}),
-                )
-                key = _dedup_key(record.kind, record.payload)
-            except (ValueError, KeyError, TypeError) as exc:
-                # imported here: logging costs every process about 0.25 MB
-                import logging
+            else:
+                try:
+                    entry = _parse_record(line)
+                    key = _dedup_key(entry.kind, entry.payload)
+                except (ValueError, KeyError, TypeError) as exc:
+                    # imported here: logging costs every process about 0.25 MB
+                    import logging
 
-                logging.getLogger(__name__).warning(
-                    "skipping malformed store line %d: %s", lineno, exc
-                )
-                self.malformed_lines += 1
-                continue
+                    logging.getLogger(__name__).warning(
+                        "skipping malformed store line %d: %s", lineno, exc
+                    )
+                    self.malformed_lines += 1
+                    continue
             if key in self._positions:
                 continue
-            self._positions[key] = len(self._records)
-            self._records.append(record)
+            self._positions[key] = len(self._entries)
+            self._entries.append(entry)
+
+    def _records(self) -> list[StoreRecord]:
+        """Every record in position order, parsing the trusted lines on first use."""
+        entries = self._entries
+        for i, entry in enumerate(entries):
+            if isinstance(entry, str):
+                entries[i] = _parse_record(entry)
+        return entries
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._entries)
 
     def append(self, record: StoreRecord) -> int:
         """Verify, canonicalize and append; returns the record's position.
@@ -237,22 +314,26 @@ class WitnessStore:
         with self._lock:
             if key in self._positions:
                 return self._positions[key]
-            position = len(self._records)
+            position = len(self._entries)
             line = canonical.to_json_line() + "\n"
-            if self._torn_tail:
-                line = "\n" + line  # end the torn line so it cannot swallow this one
             self.directory.mkdir(parents=True, exist_ok=True)
-            with self.path.open("ab", buffering=0) as fh:
-                fh.write(line.encode("utf-8"))  # unbuffered: one write call per record
-            self._torn_tail = False
-            self._records.append(canonical)
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd closes
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    line = "\n" + line  # end the torn line so it cannot swallow this one
+                os.write(fd, line.encode("utf-8"))  # one write call per record
+            finally:
+                os.close(fd)
+            self._entries.append(canonical)
             self._positions[key] = position
             return position
 
     def query(self, kind: str | None = None, **filters: Any) -> list[StoreRecord]:
         """Records matching kind and payload-field equality, in canonical order."""
         out = []
-        for record in self._records:
+        for record in self._records():
             if kind is not None and record.kind != kind:
                 continue
             if all(record.payload.get(k) == v for k, v in filters.items()):
@@ -262,8 +343,9 @@ class WitnessStore:
 
     def reverify_all(self) -> ReverifyReport:
         """Recompute every payload's verification; report corrupted records."""
+        records = self._records()
         failures: list[tuple[int, str]] = []
-        for position, record in enumerate(self._records):
+        for position, record in enumerate(records):
             try:
                 recomputed = canonical_payload(record.kind, record.payload)
             except StoreVerificationError as exc:
@@ -274,8 +356,8 @@ class WitnessStore:
                     (position, f"stored payload is not canonical: {record.payload}")
                 )
         return ReverifyReport(
-            total=len(self._records),
-            ok=len(self._records) - len(failures),
+            total=len(records),
+            ok=len(records) - len(failures),
             failures=failures,
             malformed_lines=self.malformed_lines,
         )

@@ -30,9 +30,10 @@ enumeration in exact integer arithmetic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
+
+from .values import Value, set_field
 
 DEFAULT_A_MAX = 5
 DEFAULT_TUPLE_CAP = 10_000_000
@@ -83,13 +84,15 @@ def tail_certificate_holds(m: int, x: int) -> bool:
     return y * y - x > m * m * (y + x) and y >= m * m + 2
 
 
-@dataclass(frozen=True)
-class BigInterval:
+class BigInterval(Value):
     """Integer block [2^(2^a) - a, 2^(2^a) + a] with its source index a."""
 
-    lo: int
-    hi: int
-    index: int
+    __slots__ = ("lo", "hi", "index")
+
+    def __init__(self, lo: int, hi: int, index: int) -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "index", index)
 
     @classmethod
     def from_index(cls, a: int) -> "BigInterval":
@@ -105,17 +108,17 @@ class BigInterval:
         return self.hi - self.lo + 1
 
 
-@dataclass(frozen=True)
-class ThickFamilySpec:
+class ThickFamilySpec(Value):
     """Pairwise disjoint, non-empty index sets plus the expansion bound a_max.
 
     Text literal: ``"sets=[{1,4},{2,5}] a_max=5"``.
     """
 
-    index_sets: tuple[frozenset[int], ...]
-    a_max: int = DEFAULT_A_MAX
+    __slots__ = ("index_sets", "a_max")
 
-    def __post_init__(self) -> None:
+    def __init__(self, index_sets: tuple[frozenset[int], ...], a_max: int = DEFAULT_A_MAX) -> None:
+        set_field(self, "index_sets", index_sets)
+        set_field(self, "a_max", a_max)
         if not self.index_sets:
             raise ValueError("at least one index set is required")
         seen: set[int] = set()
@@ -135,8 +138,8 @@ class ThickFamilySpec:
     ) -> "ThickFamilySpec":
         """Bypass validation (for negative controls with overlapping sets)."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "index_sets", tuple(frozenset(s) for s in index_sets))
-        object.__setattr__(obj, "a_max", a_max)
+        set_field(obj, "index_sets", tuple(frozenset(s) for s in index_sets))
+        set_field(obj, "a_max", a_max)
         return obj
 
     @classmethod
@@ -189,18 +192,29 @@ def contains_run(index_set: Iterable[int], run_length: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class IndependenceCounterexample:
-    set_indices: tuple[int, ...]
-    points: tuple[int, ...]
-    coefficients: tuple[int, ...]
+class IndependenceCounterexample(Value):
+    __slots__ = ("set_indices", "points", "coefficients")
+
+    def __init__(
+        self, set_indices: tuple[int, ...], points: tuple[int, ...], coefficients: tuple[int, ...]
+    ) -> None:
+        set_field(self, "set_indices", set_indices)
+        set_field(self, "points", points)
+        set_field(self, "coefficients", coefficients)
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
-    passed: bool
-    tuples_checked: int
-    counterexample: IndependenceCounterexample | None = None
+class IndependenceResult(Value):
+    __slots__ = ("passed", "tuples_checked", "counterexample")
+
+    def __init__(
+        self,
+        passed: bool,
+        tuples_checked: int,
+        counterexample: IndependenceCounterexample | None = None,
+    ) -> None:
+        set_field(self, "passed", passed)
+        set_field(self, "tuples_checked", tuples_checked)
+        set_field(self, "counterexample", counterexample)
 
 
 def _family_points(spec: ThickFamilySpec) -> list[list[int]]:

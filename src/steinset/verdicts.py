@@ -20,17 +20,20 @@ optional).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .groups import CyclicSet
-from .haight import HaightWitness, verify_witness
 from .sumsets import (
     iterated_sumset,
     sign_count_classes,
     signed_product,
     signed_product_counts,
 )
+from .values import Value, set_field
+
+if TYPE_CHECKING:
+    from .haight import HaightWitness
+
 
 _SPEC_RE = re.compile(
     r"^\s*(?:prefix=\[(?P<prefix>[^\[\]]*)\]\s+)?cycle=\[(?P<cycle>[^\[\]]*)\]\s*$"
@@ -51,14 +54,14 @@ def _parse_entries(body: str) -> tuple[CyclicSet, ...]:
     return tuple(CyclicSet.parse(p) for p in parts)
 
 
-@dataclass(frozen=True)
-class SeqSpec:
+class SeqSpec(Value):
     """Finite prefix plus non-empty repeating cycle of non-empty sets."""
 
-    prefix: tuple[CyclicSet, ...]
-    cycle: tuple[CyclicSet, ...]
+    __slots__ = ("prefix", "cycle")
 
-    def __post_init__(self) -> None:
+    def __init__(self, prefix: tuple[CyclicSet, ...], cycle: tuple[CyclicSet, ...]) -> None:
+        set_field(self, "prefix", prefix)
+        set_field(self, "cycle", cycle)
         if not self.cycle:
             raise ValueError("cycle must be non-empty")
         for pos, entry in enumerate(list(self.prefix) + list(self.cycle)):
@@ -97,8 +100,7 @@ class SeqSpec:
         return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of an eventual-fullness check.
 
     holds=True:  every position k >= k0 passes; k0 never exceeds
@@ -109,10 +111,19 @@ class Verdict:
     pm verdicts also carry the first succeeding sign-count class.
     """
 
-    holds: bool
-    k0: int | None = None
-    witnesses: tuple[int, ...] = ()
-    sign_class: tuple[int, int] | None = None
+    __slots__ = ("holds", "k0", "witnesses", "sign_class")
+
+    def __init__(
+        self,
+        holds: bool,
+        k0: int | None = None,
+        witnesses: tuple[int, ...] = (),
+        sign_class: tuple[int, int] | None = None,
+    ) -> None:
+        set_field(self, "holds", holds)
+        set_field(self, "k0", k0)
+        set_field(self, "witnesses", witnesses)
+        set_field(self, "sign_class", sign_class)
 
     def kind(self) -> str:
         return "Holds" if self.holds else "Fails"
@@ -156,7 +167,7 @@ def pm_verdict(spec: SeqSpec, m: int) -> Verdict:
     for plus, minus in sign_count_classes(m):
         v = _run(spec, lambda e: signed_product_counts(e, plus, minus).is_full())
         if v.holds:
-            return replace(v, sign_class=(plus, minus))
+            return Verdict(holds=True, k0=v.k0, sign_class=(plus, minus))
         first_failures.append(v.witnesses[0])
     return Verdict(holds=False, witnesses=tuple(sorted(set(first_failures))))
 
@@ -193,8 +204,7 @@ def example_family_c2n1(n: int) -> SeqSpec:
     return SeqSpec.constant(CyclicSet.from_members(2 * n + 1, (-1, 0, 1)))
 
 
-@dataclass(frozen=True)
-class HaightSequenceReport:
+class HaightSequenceReport(Value):
     """Checks of a chain of witnesses for k = 1..K used as one cycle.
 
     diff_full_positions: every cycle entry has A - A full (class (1, 1)).
@@ -204,10 +214,19 @@ class HaightSequenceReport:
     K-fold deficiency forces m-fold deficiency for every m <= K).
     """
 
-    count: int
-    diff_full_positions: bool
-    pm2: Verdict
-    tail_failures: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    __slots__ = ("count", "diff_full_positions", "pm2", "tail_failures")
+
+    def __init__(
+        self,
+        count: int,
+        diff_full_positions: bool,
+        pm2: Verdict,
+        tail_failures: dict[int, tuple[int, ...]] | None = None,
+    ) -> None:
+        set_field(self, "count", count)
+        set_field(self, "diff_full_positions", diff_full_positions)
+        set_field(self, "pm2", pm2)
+        set_field(self, "tail_failures", {} if tail_failures is None else tail_failures)
 
     @property
     def ok(self) -> bool:
@@ -230,6 +249,8 @@ def verify_haight_sequence(witnesses: Sequence[HaightWitness]) -> HaightSequence
     (so the pm verdict at m = 2 holds) while the all-plus verdict of every
     length m <= K fails.
     """
+    from .haight import verify_witness
+
     if not witnesses:
         raise ValueError("witness list must be non-empty")
     for i, w in enumerate(witnesses):

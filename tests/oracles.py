@@ -7,13 +7,16 @@ with the library's CyclicSet sumsets (themselves checked against the naive
 sumsets here): scan_haight_class_masks for the exhaustive search, sharing
 none of its pruning, incremental levels or orbit marking, and
 reference_stochastic_search for the stochastic one, which scores every
-candidate from scratch and canonicalizes with all n*phi(n) affine maps.
+candidate from scratch and canonicalizes with all n*phi(n) affine maps,
+and EagerWitnessStore for the store's open, which parses every line.
 """
 
+import json
 from math import gcd
 
 from steinset.groups import CyclicSet
 from steinset.haight import HaightWitness, Xorshift64Star, modulus_stream_seed
+from steinset.store import StoreRecord, WitnessStore
 from steinset.sumsets import iterated_sumset, signed_product_counts
 
 
@@ -54,11 +57,16 @@ def naive_pm_union(a, m, n):
 
 
 def mask_of(members, n):
-    # one character per residue, so dense sets at large n build in linear time
-    bits = bytearray(b"0" * n)
+    # linear time for dense sets at large n; checked against naive_mask
+    return CyclicSet.from_members(n, members).mask
+
+
+def naive_mask(members, n):
+    """One bit set per member, each by shifting 1 into place (quadratic)."""
+    mask = 0
     for a in members:
-        bits[n - 1 - a % n] = ord("1")
-    return int(bits, 2)
+        mask |= 1 << (a % n)
+    return mask
 
 
 def members_of(mask, n):
@@ -223,3 +231,40 @@ def reference_stochastic_search(cfg):
             cert = iterated_sumset(a, cfg.k).deficiency()[0]
             out.append(HaightWitness(k=cfg.k, subset=a, certificate=cert))
     return out
+
+
+class EagerWitnessStore(WitnessStore):
+    """WitnessStore whose open parses every line, trusting none.
+
+    This is the loader the store had before it read dedup keys off the
+    text of canonical lines: json.loads on each line, keyed on the payload
+    re-serialized with sorted keys, every record built at open.
+    """
+
+    def _load(self):
+        if not self.path.exists():
+            return
+        lines = self.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for line in lines:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj["payload"], dict):
+                    raise TypeError("payload is not an object")
+                record = StoreRecord(
+                    kind=obj["kind"],
+                    payload=obj["payload"],
+                    created_at=int(obj["created_at"]),
+                    producer=obj.get("producer", {}),
+                )
+                key = record.kind + "|" + json.dumps(
+                    record.payload, sort_keys=True, separators=(",", ":")
+                )
+            except (ValueError, KeyError, TypeError):
+                self.malformed_lines += 1
+                continue
+            if key in self._positions:
+                continue
+            self._positions[key] = len(self._entries)
+            self._entries.append(record)

@@ -19,6 +19,7 @@ from steinset.groups import (
 
 from oracles import (
     mask_of,
+    naive_mask,
     naive_canonical_mask,
     naive_negate,
     naive_orbit,
@@ -49,6 +50,35 @@ def test_members_and_mask_round_trip():
 
 def test_from_members_reduces_mod_n():
     assert CyclicSet.from_members(5, [-1, 0, 1]) == CyclicSet.from_members(5, [4, 0, 1])
+
+
+def test_from_members_and_parse_match_a_naive_per_bit_build():
+    rng = random.Random(65536)
+    cases = [(1, []), (1, [0, 5]), (7, [-1, 13, 3, 3]), (8, range(8)), (9, range(-20, 20))]
+    for n in (2, 63, 64, 65, 1000, 4099):
+        for size in (0, 1, n // 3, n):
+            cases.append((n, rng.sample(range(n), size)))
+    cases.append((65536, rng.sample(range(65536), 32768)))  # dense at large n
+    cases.append((MAX_MODULUS, [MAX_MODULUS - 1, 0, -2]))
+    for n, members in cases:
+        members = list(members)
+        want = naive_mask(members, n)
+        assert CyclicSet.from_members(n, members).mask == want, n
+        residues = sorted({a % n for a in members})
+        assert CyclicSet.parse(f"{n}:{{{','.join(map(str, residues))}}}").mask == want, n
+
+
+def test_from_members_and_parse_refuse_bad_input():
+    for build in (
+        lambda: CyclicSet.from_members(MAX_MODULUS + 1, [0]),
+        lambda: CyclicSet.from_members(0, [0]),
+        lambda: CyclicSet.parse(f"{MAX_MODULUS + 1}:{{0}}"),
+        lambda: CyclicSet.parse("0:{}"),
+        lambda: CyclicSet.parse("5:{1,5}"),
+        lambda: CyclicSet.parse("5:{1,x}"),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_validation():

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +18,9 @@ from steinset.store import (
     make_xi_record,
 )
 from steinset.sumsets import iterated_sumset
-from steinset.verdicts import SeqSpec, pm_verdict
+from steinset.verdicts import SeqSpec, eps_verdict, pm_verdict
+
+from oracles import EagerWitnessStore
 
 
 def witness_record(created_at=5, members=(0, 1, 3), n=7, cert=5):
@@ -199,3 +206,154 @@ def test_load_counts_non_object_payload_as_malformed(tmp_path):
     store = WitnessStore(tmp_path)
     assert len(store) == 0 and store.malformed_lines == 1
     assert store.query(op="pm") == [] and store.reverify_all().failures == []
+
+
+def _reordered(record, indent=None):
+    """The record's JSON with every object's keys in reverse order."""
+    obj = {
+        "producer": dict(reversed(record.producer.items())),
+        "payload": dict(reversed(sorted(record.payload.items()))),
+        "kind": record.kind,
+        "created_at": record.created_at,
+    }
+    return json.dumps(obj, indent=indent)
+
+
+def _crafted_store_text():
+    spec = SeqSpec.parse("cycle=[7:{0,1,3};13:{0,1,3,9}]")
+    cli_producer = {"version": "0.1.0", "seed": 0, "mode": "exhaustive", "budget": 100000, "k": 2}
+    canonical = [
+        witness_record(),
+        make_xi_record(2, created_at=3, producer=cli_producer),
+        make_verdict_record("pm", spec, 2, pm_verdict(spec, 2), created_at=4),
+        # canonical text, non-canonical payload: reverify must flag it either way
+        make_haight_record(HaightWitness(2, CyclicSet.from_members(7, [0, 2, 6]), 3), created_at=0),
+    ]
+    other = [make_xi_record(m, created_at=1) for m in (1, 3, 4)]
+    big = "1" + "0" * 5000  # json.loads refuses ints this long
+    lines = [
+        canonical[0].to_json_line(),
+        _reordered(other[0]),  # reordered keys
+        canonical[1].to_json_line(),
+        json.dumps(json.loads(other[1].to_json_line())),  # extra whitespace
+        "",
+        canonical[0].to_json_line(),  # exact duplicate
+        _reordered(canonical[1]),  # duplicate, reordered
+        other[1].to_json_line(),  # canonical duplicate of a whitespace line
+        "{ this is not json }",
+        '{"kind":"verdict","payload":[1],"created_at":0}',
+        '{"created_at":0,"kind":"xi","payload":{"Xi":"259","m":2,"xi":3,},"producer":{}}',
+        '{"created_at":0,"kind":"xi","payload":{"Xi":"259","m":02,"xi":3},"producer":{}}',
+        '{"created_at":0,"kind":"xi","payload":{"Xi":"259","m":' + big + ',"xi":3},"producer":{}}',
+        '{"created_at":0,"kind":"xi","payload":{"m":5,"xi":3,"Xi":"259"},"producer":{}}',
+        '{"created_at":0.5,"kind":"xi","payload":{"Xi":"259","m":6,"xi":3},"producer":{}}',
+        '{"created_at":0,"kind":"xi","payload":{"Xi":"\\u00e9","m":7,"xi":3},"producer":{}}',
+        '{"created_at":0,"kind":"xi","payload":{"Xi":"259","m":-0,"xi":3},"producer":{}}',
+        canonical[2].to_json_line(),
+        canonical[3].to_json_line(),
+        "   ",
+        other[2].to_json_line(),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_store(lazy, eager):
+    assert len(lazy) == len(eager)
+    assert lazy.malformed_lines == eager.malformed_lines
+    assert lazy._positions == eager._positions
+    assert lazy.query() == eager.query()
+    assert lazy.query("xi", xi=3) == eager.query("xi", xi=3)
+    assert lazy._records() == eager._records()
+    assert lazy.reverify_all() == eager.reverify_all()
+
+
+@pytest.mark.parametrize("tail", ["complete", "torn", "none"])
+def test_lazy_open_matches_the_eager_loader(tmp_path, tail):
+    text = _crafted_store_text()
+    if tail == "complete":
+        text = text[:-1]  # a whole record without its newline
+    elif tail == "torn":
+        text += '{"created_at":0,"kind":"xi","payload":{"Xi":"2'
+    for name in ("lazy", "eager"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / WitnessStore.FILENAME).write_text(text, encoding="utf-8")
+    lazy, eager = WitnessStore(tmp_path / "lazy"), EagerWitnessStore(tmp_path / "eager")
+    assert len(lazy) == 11 and lazy.malformed_lines == 5 + (tail == "torn")
+    # wrong xi for m = 5, 6, 7 and 0 (read from -0), and the non-canonical set
+    assert [p for p, _ in lazy.reverify_all().failures] == [4, 5, 6, 7, 9]
+    _assert_same_store(lazy, eager)
+    # appending after either open gives the same positions and bytes
+    for store in (lazy, eager):
+        assert store.append(make_xi_record(3, created_at=9)) == 3  # a duplicate
+        assert store.append(make_xi_record(9, created_at=9)) == 11
+    assert (tmp_path / "lazy" / WitnessStore.FILENAME).read_bytes() == (
+        tmp_path / "eager" / WitnessStore.FILENAME
+    ).read_bytes()
+    _assert_same_store(WitnessStore(tmp_path / "lazy"), EagerWitnessStore(tmp_path / "eager"))
+
+
+def test_open_parses_no_line_the_cli_writes(tmp_path, monkeypatch):
+    search = {"version": "0.1.0", "seed": 3, "mode": "exhaustive", "budget": 100000, "k": 2}
+    plain = {"version": "0.1.0", "seed": 0}
+    holds = SeqSpec.parse("prefix=[5:{0}] cycle=[7:{0,1,3}]")
+    fails = SeqSpec.parse("cycle=[7:{0,1,6};5:{0}]")
+    records = [
+        make_haight_record(
+            HaightWitness(2, CyclicSet.from_members(7, [0, 1, 3]), 5), producer=search, created_at=0
+        ),
+        make_xi_record(2, producer=plain, created_at=0),
+        make_verdict_record("pm", holds, 2, pm_verdict(holds, 2), producer=plain, created_at=0),
+        make_verdict_record("eps", fails, (1, -1), eps_verdict(fails, (1, -1)), producer=plain),
+    ]
+    store = WitnessStore(tmp_path)
+    for record in records:
+        store.append(record)
+    monkeypatch.setattr(json, "loads", None)  # any parse would now fail
+    reopened = WitnessStore(tmp_path)
+    assert len(reopened) == 4 and reopened.malformed_lines == 0
+    assert reopened.append(make_xi_record(2, created_at=7)) == 1
+    monkeypatch.undo()
+    assert reopened.query("xi")[0].payload == {"m": 2, "xi": 3, "Xi": "259"}
+    assert reopened.query() == store.query()
+
+
+def test_append_ends_a_line_torn_after_open(tmp_path):
+    store = WitnessStore(tmp_path)
+    store.append(witness_record())
+    with store.path.open("a", encoding="utf-8") as fh:
+        fh.write('{"kind":"xi","payload":{"m":1')  # another writer, cut short
+    store.append(make_xi_record(2, created_at=3))
+    reloaded = WitnessStore(tmp_path)
+    assert len(reloaded) == 2 and reloaded.malformed_lines == 1
+
+
+_APPENDER = """
+import sys, time
+from steinset.store import WitnessStore, make_xi_record
+store = WitnessStore(sys.argv[1])
+first, count, start = int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+while time.time() < start:
+    pass
+for m in range(first, first + count):
+    store.append(make_xi_record(m, created_at=0))
+"""
+
+
+def test_two_processes_append_disjoint_records_once_each(tmp_path):
+    import steinset
+
+    env = dict(os.environ, PYTHONPATH=str(Path(steinset.__file__).parent.parent))
+    count = 150
+    start = time.time() + 1.0  # both children append at once, after start-up
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _APPENDER, str(tmp_path), str(first), str(count), str(start)],
+            env=env,
+        )
+        for first in (1, 1 + count)
+    ]
+    assert [p.wait(timeout=60) for p in procs] == [0, 0]
+    lines = (tmp_path / WitnessStore.FILENAME).read_text(encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["payload"]["m"] for line in lines) == list(range(1, 2 * count + 1))
+    store = WitnessStore(tmp_path)
+    assert len(store) == 2 * count and store.malformed_lines == 0
