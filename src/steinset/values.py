@@ -3,8 +3,8 @@
 A subclass lists its fields in ``__slots__`` (plus ``"__weakref__"`` if it
 must be weakly referenceable) and sets them in its own ``__init__`` with
 ``set_field``.  The base supplies what a frozen dataclass would:
-assignment and deletion raise, and ``__eq__``, ``__hash__`` and ``__repr__``
-work field by field, in slot order.  It exists so that importing the
+assignment and deletion raise, ``__eq__``, ``__hash__`` and ``__repr__``
+work field by field, in slot order, and pickle and copy work.  It exists so that importing the
 package does not import ``dataclasses`` (and ``inspect`` with it), which
 every CLI process would otherwise pay for.
 """
@@ -31,6 +31,15 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    # pickle and copy: the (None, {field: value}) state of a slots object,
+    # restored with set_field because setattr is refused
+    def __getstate__(self):
+        return None, {f: getattr(self, f) for f in self._fields}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            set_field(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -1,8 +1,10 @@
 """The package surface: lazy exports, per-command imports and the value classes."""
 
+import copy
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -91,7 +93,7 @@ VALUES = [
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
-def test_value_classes_are_immutable_with_fieldwise_identity(value):
+def test_value_classes_are_immutable_with_fieldwise_identity_and_pickle(value):
     cls = type(value)
     fields = cls._fields
     field = fields[0]
@@ -107,6 +109,9 @@ def test_value_classes_are_immutable_with_fieldwise_identity(value):
     assert repr(value) == f"{cls.__name__}(" + ", ".join(
         f"{f}={getattr(value, f)!r}" for f in fields
     ) + ")"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value
+    assert copy.copy(value) == value and copy.deepcopy(value) == value
     try:
         key = hash(tuple(getattr(value, f) for f in fields))
     except TypeError:  # a dict or list field: unhashable, as the value

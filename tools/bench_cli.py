@@ -11,8 +11,9 @@ modules it imports, as when the package runs from a fresh checkout.
 
 For every command it records the median wall time over REPS spawns a side,
 from spawn to exit, and the ``steinset`` modules (and ``dataclasses``, if
-imported) that the command loaded on each side, and checks that both
-sides print the same bytes.  One JSON file is written:
+imported) that the command loaded on each side (``steinset.cli`` itself
+runs as ``__main__`` and is not listed), and checks that both sides print
+the same bytes.  One JSON file is written:
 
     python tools/bench_cli.py REV [--out FILE]
 
