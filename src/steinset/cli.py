@@ -201,6 +201,7 @@ def cmd_example_c2n1(args) -> int:
 
 
 def _producer(args, **extra) -> dict:
+    # a new key also goes in store._PRODUCER_FIELDS
     return {"version": __version__, "seed": args.seed, **extra}
 
 

@@ -112,6 +112,7 @@ class HaightWitness(Value):
         return self.subset.modulus
 
     def to_json_obj(self) -> dict:
+        """The store payload; a new field also goes in ``store._PAYLOAD_FIELDS``."""
         return {
             "k": self.k,
             "n": self.modulus,

@@ -129,7 +129,11 @@ class Verdict(Value):
         return "Holds" if self.holds else "Fails"
 
     def to_json_obj(self) -> dict:
-        """Outcome fields shared by CLI output and store records."""
+        """Outcome fields shared by CLI output and store records.
+
+        A new field also goes in ``store._PAYLOAD_FIELDS``, or the store
+        parses every line holding it when it opens.
+        """
         if not self.holds:
             return {"holds": False, "witnesses": list(self.witnesses)}
         out: dict = {"holds": True, "k0": self.k0}

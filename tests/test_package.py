@@ -153,3 +153,11 @@ def test_cyclic_set_validation_hook_is_a_patchable_class_attribute(monkeypatch):
     assert created == [a]
     with pytest.raises(ValueError):
         CyclicSet(3, 1 << 3)
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    import ast
+
+    # pyproject.toml declares requires-python >= 3.10
+    for path in sorted((SRC / "steinset").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

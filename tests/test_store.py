@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from steinset.store import (
     make_xi_record,
 )
 from steinset.sumsets import iterated_sumset
-from steinset.verdicts import SeqSpec, eps_verdict, pm_verdict
+from steinset.verdicts import SeqSpec, pm_verdict
 
 from oracles import EagerWitnessStore
 
@@ -292,29 +293,44 @@ def test_lazy_open_matches_the_eager_loader(tmp_path, tail):
     _assert_same_store(WitnessStore(tmp_path / "lazy"), EagerWitnessStore(tmp_path / "eager"))
 
 
-def test_open_parses_no_line_the_cli_writes(tmp_path, monkeypatch):
-    search = {"version": "0.1.0", "seed": 3, "mode": "exhaustive", "budget": 100000, "k": 2}
-    plain = {"version": "0.1.0", "seed": 0}
-    holds = SeqSpec.parse("prefix=[5:{0}] cycle=[7:{0,1,3}]")
-    fails = SeqSpec.parse("cycle=[7:{0,1,6};5:{0}]")
-    records = [
-        make_haight_record(
-            HaightWitness(2, CyclicSet.from_members(7, [0, 1, 3]), 5), producer=search, created_at=0
-        ),
-        make_xi_record(2, producer=plain, created_at=0),
-        make_verdict_record("pm", holds, 2, pm_verdict(holds, 2), producer=plain, created_at=0),
-        make_verdict_record("eps", fails, (1, -1), eps_verdict(fails, (1, -1)), producer=plain),
-    ]
-    store = WitnessStore(tmp_path)
-    for record in records:
-        store.append(record)
+# every store-writing command, covering each producer and payload shape
+_STORE_WRITERS = [
+    ("haight", "minimal", "2", "--cap", "10"),  # producer: mode, k, no budget
+    ("--seed", "4", "haight", "search", "2", "--n-range", "7..7", "--mode", "stochastic",
+     "--budget", "300", "--max-set-size", "3"),
+    ("haight", "search", "2", "--n-range", "8..8"),
+    ("verdict-eps", "prefix=[4:{0}] cycle=[7:{0,1,6};5:{0,1}]", "++", "--store"),  # fails
+    ("verdict-eps", "cycle=[7:{0,1,6}]", "+-+", "--store"),  # holds, no sign class
+    ("verdict-pm", "prefix=[5:{0}] cycle=[7:{0,1,3}]", "2", "--store"),  # holds, k0 = 1
+    ("verdict-pm", "cycle=[7:{0,1,6};5:{0}]", "2", "--store"),  # fails
+    ("verdict-sym", "cycle=[7:{6,0,1}]", "3", "--store"),
+    ("lemma1", "xi", "3", "--store"),
+    ("--no-timestamp", "lemma1", "xi", "1", "--store"),
+]
+
+
+def test_open_parses_no_line_the_cli_writes(tmp_path, monkeypatch, capsys):
+    from steinset.cli import main
+
+    for argv in _STORE_WRITERS:
+        assert main(["--store-dir", str(tmp_path), *argv]) == 0
+    capsys.readouterr()
+    written = len((tmp_path / WitnessStore.FILENAME).read_text(encoding="utf-8").splitlines())
+    assert written == len(_STORE_WRITERS)  # one new record per command
     monkeypatch.setattr(json, "loads", None)  # any parse would now fail
     reopened = WitnessStore(tmp_path)
-    assert len(reopened) == 4 and reopened.malformed_lines == 0
-    assert reopened.append(make_xi_record(2, created_at=7)) == 1
+    assert len(reopened) == written and reopened.malformed_lines == 0
+    assert reopened.append(make_xi_record(3, created_at=7)) == written - 2  # a duplicate
     monkeypatch.undo()
-    assert reopened.query("xi")[0].payload == {"m": 2, "xi": 3, "Xi": "259"}
-    assert reopened.query() == store.query()
+    _assert_same_store(reopened, EagerWitnessStore(tmp_path))
+    assert reopened.reverify_all().clean
+
+
+def test_canonical_line_pattern_compiles_on_python_3_10():
+    from steinset.store import _CANONICAL_LINE
+
+    # possessive quantifiers and atomic groups reach re only in Python 3.11
+    assert re.search(r"\(\?>|[*+?}]\+", _CANONICAL_LINE.pattern) is None
 
 
 def test_append_ends_a_line_torn_after_open(tmp_path):
