@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 from . import __version__
 
 if TYPE_CHECKING:
-    from .groups import CyclicSet
     from .haight import HaightWitness
     from .verdicts import Verdict
 
@@ -95,10 +94,37 @@ def _verdict_lines(v: Verdict) -> list[str]:
     return [f"verdict: Fails (cycle positions {','.join(map(str, v.witnesses))})"]
 
 
-def _emit_set_result(args, command: str, params: dict, result: CyclicSet) -> None:
+# ---------------------------------------------------------------- handlers
+
+
+# set command -> (help, second operand, the sumsets function of (A, operand));
+# the operand is a set literal (b), a sign vector (eps) or a fold count (k, m)
+SET_COMMANDS = {
+    "sumset": ("A + B", "b", "sumset"),
+    "ksum": ("k-fold sumset kA", "k", "iterated_sumset"),
+    "signed": ("signed product along a sign vector", "eps", "signed_product"),
+    "pm": ("m-fold sumset of A u (-A)", "m", "pm_product"),
+}
+
+
+def cmd_set(args) -> int:
+    from . import sumsets
+    from .groups import CyclicSet
+
+    _, name, function = SET_COMMANDS[args.op]
+    a = _parse_literal(CyclicSet.parse, args.a)
+    operand = shown = getattr(args, name)
+    if name == "b":
+        operand = _parse_literal(CyclicSet.parse, shown)
+        shown = operand.to_literal()
+    elif name == "eps":
+        operand = parse_signs(shown)
+        shown = list(operand)
+    result = getattr(sumsets, function)(a, operand)
     obj = {
-        "command": command,
-        **params,
+        "command": args.op,
+        "a": a.to_literal(),
+        name: shown,
         "modulus": result.modulus,
         "result": list(result.members()),
         "full": result.is_full(),
@@ -108,48 +134,6 @@ def _emit_set_result(args, command: str, params: dict, result: CyclicSet) -> Non
         f"full: {'yes' if result.is_full() else 'no'}",
     ]
     emit(args, obj, lines)
-
-
-# ---------------------------------------------------------------- handlers
-
-
-def cmd_sumset(args) -> int:
-    from .groups import CyclicSet
-    from .sumsets import sumset
-
-    a = _parse_literal(CyclicSet.parse, args.a)
-    b = _parse_literal(CyclicSet.parse, args.b)
-    _emit_set_result(args, "sumset", {"a": a.to_literal(), "b": b.to_literal()}, sumset(a, b))
-    return 0
-
-
-def cmd_ksum(args) -> int:
-    from .groups import CyclicSet
-    from .sumsets import iterated_sumset
-
-    a = _parse_literal(CyclicSet.parse, args.a)
-    _emit_set_result(args, "ksum", {"a": a.to_literal(), "k": args.k}, iterated_sumset(a, args.k))
-    return 0
-
-
-def cmd_signed(args) -> int:
-    from .groups import CyclicSet
-    from .sumsets import signed_product
-
-    a = _parse_literal(CyclicSet.parse, args.a)
-    signs = parse_signs(args.eps)
-    _emit_set_result(
-        args, "signed", {"a": a.to_literal(), "eps": list(signs)}, signed_product(a, signs)
-    )
-    return 0
-
-
-def cmd_pm(args) -> int:
-    from .groups import CyclicSet
-    from .sumsets import pm_product
-
-    a = _parse_literal(CyclicSet.parse, args.a)
-    _emit_set_result(args, "pm", {"a": a.to_literal(), "m": args.m}, pm_product(a, args.m))
     return 0
 
 
@@ -428,34 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"result store directory (default: ${STORE_DIR_ENV} or ./{DEFAULT_STORE_DIR})",
     )
     parser.add_argument("--output", choices=("table", "structured"), default="table")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
     parser.add_argument("--seed", type=int, default=0, help="default search seed")
     parser.add_argument(
         "--no-timestamp", action="store_true", help="record created_at=0 (reproducible output)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sumset", help="A + B")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_sumset)
-
-    p = sub.add_parser("ksum", help="k-fold sumset kA")
-    p.add_argument("a")
-    p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_ksum)
-
-    p = sub.add_parser("signed", help="signed product along a sign vector")
-    p.add_argument("a")
-    p.add_argument("eps")
-    p.set_defaults(func=cmd_signed)
-
-    p = sub.add_parser("pm", help="m-fold sumset of A u (-A)")
-    p.add_argument("a")
-    p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_pm)
+    for command, (help_text, operand, _) in SET_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("a")
+        p.add_argument(operand, type=int if operand in ("k", "m") else None)
+        p.set_defaults(func=cmd_set, op=command)
 
     for op, help_text in (
         ("eps", "eventual fullness along a sign vector"),

@@ -241,12 +241,10 @@ def _scan_modulus(n: int, k: int, max_set_size: int | None) -> list[HaightWitnes
     return [canonical_witness(k, CyclicSet(n, m)) for m in sorted(reps)]
 
 
-def exhaustive_search(cfg: SearchConfig, threads: int = 1) -> list[HaightWitness]:
+def exhaustive_search(cfg: SearchConfig) -> list[HaightWitness]:
     """Every witness class in n_range, canonically deduplicated and sorted.
 
     Deterministic; result is sorted by (modulus, canonical mask).
-    ``threads`` is accepted for compatibility and has no effect: the scan
-    is pure-Python work, which threads cannot overlap under the GIL.
     """
     if cfg.mode != "exhaustive":
         raise ValueError(f"config mode is {cfg.mode!r}, expected 'exhaustive'")
@@ -355,14 +353,12 @@ def _stochastic_modulus(n: int, cfg: SearchConfig) -> list[HaightWitness]:
     return [canonical_witness(k, CyclicSet(n, m)) for m in sorted(found)]
 
 
-def stochastic_search(cfg: SearchConfig, threads: int = 1) -> list[HaightWitness]:
+def stochastic_search(cfg: SearchConfig) -> list[HaightWitness]:
     """Seeded hill-climbing search; reproducible from (seed, budget, n_range).
 
     The budget caps candidate evaluations per modulus, so per-modulus
     streams are independent and the merged result does not depend on
     traversal order.  Every returned witness passes verify_witness.
-    ``threads`` is accepted for compatibility and has no effect, as in
-    exhaustive_search.
     """
     if cfg.mode != "stochastic":
         raise ValueError(f"config mode is {cfg.mode!r}, expected 'stochastic'")

@@ -30,9 +30,12 @@ as written.  Trust is not verification: ``reverify_all`` recomputes every
 record, trusted or not, and reports any payload that is not canonical.
 
 Writes are serialized by a thread lock within a process and an exclusive
-``flock`` on the file across processes.  Each record is one write call,
-preceded by a newline if the file does not end in one (a crash left its
-last line unterminated), so a torn line stays one malformed line.
+``flock`` on the file across processes.  Holding the lock, ``append`` first
+keys the lines other stores wrote since this one last read the file, so
+duplicates and the returned position are decided against the whole file.
+Each record is one write call, preceded by a newline if the file does not
+end in one (a crash left its last line unterminated), so a torn line stays
+one malformed line.
 """
 
 from __future__ import annotations
@@ -263,13 +266,26 @@ class WitnessStore:
         self._entries: list[StoreRecord | str] = []
         self._positions: dict[str, int] = {}
         self.malformed_lines = 0
+        self._read = 0  # bytes of the file keyed so far
+        self._lines_read = 0
         self._load()
 
     def _load(self) -> None:
-        if not self.path.exists():
+        """Key the lines written to the file since this store last read it."""
+        try:
+            with self.path.open("rb") as fh:
+                fh.seek(self._read)
+                data = fh.read()
+        except FileNotFoundError:
             return
-        lines = self.path.read_text(encoding="utf-8").splitlines(keepends=True)
-        for lineno, line in enumerate(lines, 1):
+        self._read += len(data)
+        self._add_lines(data.decode("utf-8").splitlines(keepends=True))
+
+    def _add_lines(self, lines: list[str]) -> None:
+        """Key each line, in file order; a line whose key is known adds nothing."""
+        first = self._lines_read + 1
+        self._lines_read += len(lines)
+        for lineno, line in enumerate(lines, first):
             m = _CANONICAL_LINE.fullmatch(line)
             if m is not None:
                 entry, key = line, m[1][1:-1] + "|" + m[2]
@@ -321,21 +337,27 @@ class WitnessStore:
         with self._lock:
             if key in self._positions:
                 return self._positions[key]
-            position = len(self._entries)
             line = canonical.to_json_line() + "\n"
             self.directory.mkdir(parents=True, exist_ok=True)
             fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd closes
                 size = os.fstat(fd).st_size
+                if size > self._read:
+                    # other stores appended since this one last read the file
+                    self._load()
+                    if key in self._positions:
+                        return self._positions[key]
                 if size and os.pread(fd, 1, size - 1) != b"\n":
                     line = "\n" + line  # end the torn line so it cannot swallow this one
-                os.write(fd, line.encode("utf-8"))  # one write call per record
+                data = line.encode("utf-8")
+                os.write(fd, data)  # one write call per record
+                self._read = size + len(data)
             finally:
                 os.close(fd)
+            self._positions[key] = len(self._entries)
             self._entries.append(canonical)
-            self._positions[key] = position
-            return position
+            return self._positions[key]
 
     def query(self, kind: str | None = None, **filters: Any) -> list[StoreRecord]:
         """Records matching kind and payload-field equality, in canonical order."""

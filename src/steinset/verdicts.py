@@ -142,15 +142,16 @@ class Verdict(Value):
         return out
 
 
+def _k0(spec: SeqSpec, test: Callable[[CyclicSet], bool]) -> int:
+    """One past the last prefix position that fails ``test`` (0 if none does)."""
+    return max((i + 1 for i, entry in enumerate(spec.prefix) if not test(entry)), default=0)
+
+
 def _run(spec: SeqSpec, test: Callable[[CyclicSet], bool]) -> Verdict:
     failing = tuple(i for i, entry in enumerate(spec.cycle) if not test(entry))
     if failing:
         return Verdict(holds=False, witnesses=failing)
-    k0 = 0
-    for i, entry in enumerate(spec.prefix):
-        if not test(entry):
-            k0 = i + 1
-    return Verdict(holds=True, k0=k0)
+    return Verdict(holds=True, k0=_k0(spec, test))
 
 
 def eps_verdict(spec: SeqSpec, signs: Sequence[int]) -> Verdict:
@@ -164,16 +165,22 @@ def pm_verdict(spec: SeqSpec, m: int) -> Verdict:
     Classes are scanned in the sign_count_classes order and the first
     succeeding one is reported.  On failure, ``witnesses`` collects the
     first failing cycle position of each class.
+
+    Only the classes (p, q) with p >= q are scanned: (q, p) gives
+    qA - pA = -(pA - qA), which is full at exactly the same entries, and
+    (p, q) comes first in the order.  A class stops at its first failing
+    cycle entry.
     """
     if m < 1:
         raise ValueError(f"length must be >= 1, got {m}")
-    first_failures = []
-    for plus, minus in sign_count_classes(m):
-        v = _run(spec, lambda e: signed_product_counts(e, plus, minus).is_full())
-        if v.holds:
-            return Verdict(holds=True, k0=v.k0, sign_class=(plus, minus))
-        first_failures.append(v.witnesses[0])
-    return Verdict(holds=False, witnesses=tuple(sorted(set(first_failures))))
+    first_failures = set()
+    for plus, minus in sign_count_classes(m)[: m // 2 + 1]:
+        test = lambda e: signed_product_counts(e, plus, minus).is_full()
+        failing = next((i for i, entry in enumerate(spec.cycle) if not test(entry)), None)
+        if failing is None:
+            return Verdict(holds=True, k0=_k0(spec, test), sign_class=(plus, minus))
+        first_failures.add(failing)
+    return Verdict(holds=False, witnesses=tuple(sorted(first_failures)))
 
 
 def sym_verdict(spec: SeqSpec, m: int) -> Verdict:

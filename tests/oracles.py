@@ -9,6 +9,8 @@ none of its pruning, incremental levels or orbit marking, and
 reference_stochastic_search for the stochastic one, which scores every
 candidate from scratch and canonicalizes with all n*phi(n) affine maps,
 and EagerWitnessStore for the store's open, which parses every line.
+reference_pm_verdict tests every sign-count class at every cycle entry
+with the naive signed products here.
 """
 
 import json
@@ -18,6 +20,7 @@ from steinset.groups import CyclicSet
 from steinset.haight import HaightWitness, Xorshift64Star, modulus_stream_seed
 from steinset.store import StoreRecord, WitnessStore
 from steinset.sumsets import iterated_sumset, signed_product_counts
+from steinset.verdicts import Verdict
 
 
 def naive_sumset(a, b, n):
@@ -234,17 +237,14 @@ def reference_stochastic_search(cfg):
 
 
 class EagerWitnessStore(WitnessStore):
-    """WitnessStore whose open parses every line, trusting none.
+    """WitnessStore that parses every line it reads, trusting none.
 
-    This is the loader the store had before it read dedup keys off the
+    This is the keying the store had before it read dedup keys off the
     text of canonical lines: json.loads on each line, keyed on the payload
-    re-serialized with sorted keys, every record built at open.
+    re-serialized with sorted keys, every record built when it is read.
     """
 
-    def _load(self):
-        if not self.path.exists():
-            return
-        lines = self.path.read_text(encoding="utf-8").splitlines(keepends=True)
+    def _add_lines(self, lines):
         for line in lines:
             if not line.strip():
                 continue
@@ -268,3 +268,22 @@ class EagerWitnessStore(WitnessStore):
                 continue
             self._positions[key] = len(self._entries)
             self._entries.append(record)
+
+
+def reference_pm_verdict(spec, m):
+    """pm_verdict over all m + 1 sign-count classes (p, q), in descending p,
+    each tested at every cycle entry with naive_signed."""
+
+    def full(entry, plus, minus):
+        n = entry.modulus
+        return len(naive_signed(frozenset(entry.members()), [1] * plus + [-1] * minus, n)) == n
+
+    first_failures = []
+    for minus in range(m + 1):
+        plus = m - minus
+        failing = [i for i, e in enumerate(spec.cycle) if not full(e, plus, minus)]
+        if not failing:
+            k0 = max((i + 1 for i, e in enumerate(spec.prefix) if not full(e, plus, minus)), default=0)
+            return Verdict(holds=True, k0=k0, sign_class=(plus, minus))
+        first_failures.append(failing[0])
+    return Verdict(holds=False, witnesses=tuple(sorted(set(first_failures))))

@@ -294,3 +294,136 @@ def test_store_reverify_reports_bad_payloads_without_traceback(capsys, tmp_path)
     assert "records: 3, verified: 0, failures: 3, malformed lines: 0" in out
     for position in range(3):
         assert f"  position {position}: " in out
+
+
+# Golden bytes of the four set commands, recorded while each had its own
+# handler: (argv, table output, structured output line)
+GOLDEN_SET_OUTPUT = [
+    (("sumset", "7:{0,1,3}", "7:{0,1,3}"), "result: 7:{0,1,2,3,4,6}\nfull: no\n",
+     '{"a":"7:{0,1,3}","b":"7:{0,1,3}","command":"sumset","full":false,"modulus":7,'
+     '"result":[0,1,2,3,4,6]}'),
+    (("sumset", "9:{0,3}", "9:{0,1,2}"), "result: 9:{0,1,2,3,4,5}\nfull: no\n",
+     '{"a":"9:{0,3}","b":"9:{0,1,2}","command":"sumset","full":false,"modulus":9,'
+     '"result":[0,1,2,3,4,5]}'),
+    (("ksum", "7:{0,1,6}", "3"), "result: 7:{0,1,2,3,4,5,6}\nfull: yes\n",
+     '{"a":"7:{0,1,6}","command":"ksum","full":true,"k":3,"modulus":7,"result":[0,1,2,3,4,5,6]}'),
+    (("ksum", "11:{0,1,4}", "2"), "result: 11:{0,1,2,4,5,8}\nfull: no\n",
+     '{"a":"11:{0,1,4}","command":"ksum","full":false,"k":2,"modulus":11,"result":[0,1,2,4,5,8]}'),
+    (("signed", "7:{0,1,3}", "+-"), "result: 7:{0,1,2,3,4,5,6}\nfull: yes\n",
+     '{"a":"7:{0,1,3}","command":"signed","eps":[1,-1],"full":true,"modulus":7,'
+     '"result":[0,1,2,3,4,5,6]}'),
+    (("signed", "13:{0,1,3,9}", "1,1,-1"), "result: 13:{0,1,2,3,4,5,6,7,8,9,10,11,12}\nfull: yes\n",
+     '{"a":"13:{0,1,3,9}","command":"signed","eps":[1,1,-1],"full":true,"modulus":13,'
+     '"result":[0,1,2,3,4,5,6,7,8,9,10,11,12]}'),
+    (("pm", "5:{2}", "2"), "result: 5:{0,1,4}\nfull: no\n",
+     '{"a":"5:{2}","command":"pm","full":false,"m":2,"modulus":5,"result":[0,1,4]}'),
+    (("pm", "17:{0,1,16}", "7"), "result: 17:{0,1,2,3,4,5,6,7,10,11,12,13,14,15,16}\nfull: no\n",
+     '{"a":"17:{0,1,16}","command":"pm","full":false,"m":7,"modulus":17,'
+     '"result":[0,1,2,3,4,5,6,7,10,11,12,13,14,15,16]}'),
+]
+
+
+@pytest.mark.parametrize("argv,table,structured", GOLDEN_SET_OUTPUT)
+def test_golden_set_command_output(capsys, argv, table, structured):
+    assert run(capsys, *argv) == (0, table, "")
+    assert run(capsys, "--output", "structured", *argv) == (0, structured + "\n", "")
+
+
+# (argv, stderr) recorded with the golden output above; exit status 2 and no
+# output in either format
+GOLDEN_SET_ERRORS = [
+    (("sumset", "7:{0,1,3}", "nonsense"), "error: malformed set literal: 'nonsense'\n"),
+    (("sumset", "7:{0}", "8:{0}"), "error: sumset of sets mod 7 and mod 8\n"),
+    (("ksum", "7:{0,1,3}", "0"), "error: fold count must be >= 1, got 0\n"),
+    (("signed", "7:{0,1,3}", "+2"), "error: bad sign vector '+2'\n"),
+    (("pm", "7:{}", "2"), "error: pm product of an empty set\n"),
+]
+
+
+@pytest.mark.parametrize("argv,err", GOLDEN_SET_ERRORS)
+def test_golden_set_command_errors(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+    assert run(capsys, "--output", "structured", *argv) == (2, "", err)
+
+
+def run_exit(capsys, monkeypatch, *argv):
+    """(exit status, stdout, stderr) of an argv that argparse ends, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("ksum", "7:{0}", "x"),
+     "usage: steinset ksum [-h] a k\nsteinset ksum: error: argument k: invalid int value: 'x'\n"),
+    (("pm", "7:{0}"),
+     "usage: steinset pm [-h] a m\nsteinset pm: error: the following arguments are required: m\n"),
+])
+def test_golden_set_command_usage_errors(capsys, monkeypatch, argv, err):
+    assert run_exit(capsys, monkeypatch, *argv) == (2, "", err)
+
+
+# --help of the main parser and of the set commands, at 80 columns.  The main
+# text is the one recorded with --threads, less the --threads lines.
+GOLDEN_HELP = {
+    (): """\
+usage: steinset [-h] [--version] [--store-dir STORE_DIR]
+                [--output {table,structured}] [--seed SEED] [--no-timestamp]
+                {sumset,ksum,signed,pm,verdict-eps,verdict-pm,verdict-sym,example-c2n1,haight,lemma1,store}
+                ...
+
+Sumsets, eventual-fullness verdicts, witness search and thick-set checks over
+cyclic groups.
+
+positional arguments:
+  {sumset,ksum,signed,pm,verdict-eps,verdict-pm,verdict-sym,example-c2n1,haight,lemma1,store}
+    sumset              A + B
+    ksum                k-fold sumset kA
+    signed              signed product along a sign vector
+    pm                  m-fold sumset of A u (-A)
+    verdict-eps         eventual fullness along a sign vector
+    verdict-pm          eventual fullness of some sign-count class
+    verdict-sym         eventual fullness of the m-fold sumset (symmetric
+                        entries)
+    example-c2n1        the {-1,0,1} mod 2n+1 family and its two verdicts
+    haight              witness search and verification
+    lemma1              thick-set thresholds and checks
+    store               result store maintenance
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+  --store-dir STORE_DIR
+                        result store directory (default: $STEINSET_STORE_DIR
+                        or ./steinset-store)
+  --output {table,structured}
+  --seed SEED           default search seed
+  --no-timestamp        record created_at=0 (reproducible output)
+""",
+    **{
+        (command,): f"""\
+usage: steinset {command} [-h] a {operand}
+
+positional arguments:
+  a
+  {operand}
+
+options:
+  -h, --help  show this help message and exit
+"""
+        for command, operand in (("sumset", "b"), ("ksum", "k"), ("signed", "eps"), ("pm", "m"))
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_HELP))
+def test_golden_help(capsys, monkeypatch, argv):
+    assert run_exit(capsys, monkeypatch, *argv, "--help") == (0, GOLDEN_HELP[argv], "")
+
+
+def test_threads_option_is_gone(capsys, monkeypatch):
+    code, out, err = run_exit(capsys, monkeypatch, "--threads", "2", "sumset", "7:{0,1}", "7:{0}")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: steinset ") and "error: " in err

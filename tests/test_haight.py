@@ -293,15 +293,6 @@ def test_stochastic_golden_results():
     assert stochastic_search(cfg) == []
 
 
-def test_stochastic_threads_do_not_change_results():
-    plain = _stochastic(2, 6, 10, budget=500, seed=9)
-    threaded = stochastic_search(
-        SearchConfig(k=2, n_range=(6, 10), mode="stochastic", budget=500, seed=9),
-        threads=4,
-    )
-    assert plain == threaded
-
-
 def test_stochastic_range_beyond_canonical_cap_rejected():
     cap = CANONICAL_MAX_MODULUS
     SearchConfig(k=2, n_range=(cap, cap), mode="stochastic")

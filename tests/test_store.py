@@ -343,6 +343,33 @@ def test_append_ends_a_line_torn_after_open(tmp_path):
     assert len(reloaded) == 2 and reloaded.malformed_lines == 1
 
 
+def test_two_stores_on_one_file_agree_on_duplicates_and_positions(tmp_path):
+    first, second = WitnessStore(tmp_path), WitnessStore(tmp_path)
+    assert first.append(make_xi_record(1, created_at=0)) == 0
+    assert second.append(make_xi_record(2, created_at=0)) == 1
+    assert second.append(make_xi_record(1, created_at=0)) == 0  # written by first
+    assert first.append(make_xi_record(2, created_at=0)) == 1  # written by second
+    lines = (tmp_path / WitnessStore.FILENAME).read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["payload"]["m"] for line in lines] == [1, 2]
+    assert len(first) == len(second) == 2
+    _assert_same_store(second, EagerWitnessStore(tmp_path))
+
+
+def test_catching_up_reads_a_torn_line_once(tmp_path):
+    first, second = WitnessStore(tmp_path), WitnessStore(tmp_path)
+    first.append(make_xi_record(1, created_at=0))
+    with first.path.open("a", encoding="utf-8") as fh:
+        fh.write('{"kind":"xi","payload":{"m":1')  # a write cut short by a crash
+    assert second.append(make_xi_record(2, created_at=0)) == 1
+    assert second.malformed_lines == 1
+    assert first.append(make_xi_record(3, created_at=0)) == 2
+    assert first.malformed_lines == 1
+    for store in (first, second):
+        assert store.append(make_xi_record(1, created_at=5)) == 0
+    _assert_same_store(WitnessStore(tmp_path), EagerWitnessStore(tmp_path))
+    assert WitnessStore(tmp_path).malformed_lines == 1
+
+
 _APPENDER = """
 import sys, time
 from steinset.store import WitnessStore, make_xi_record
@@ -373,3 +400,23 @@ def test_two_processes_append_disjoint_records_once_each(tmp_path):
     assert sorted(json.loads(line)["payload"]["m"] for line in lines) == list(range(1, 2 * count + 1))
     store = WitnessStore(tmp_path)
     assert len(store) == 2 * count and store.malformed_lines == 0
+
+
+def test_two_processes_append_the_same_records_once(tmp_path):
+    import steinset
+
+    env = dict(os.environ, PYTHONPATH=str(Path(steinset.__file__).parent.parent))
+    count = 100
+    start = time.time() + 1.0  # both children append at once, after start-up
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _APPENDER, str(tmp_path), "1", str(count), str(start)],
+            env=env,
+        )
+        for _ in range(2)
+    ]
+    assert [p.wait(timeout=60) for p in procs] == [0, 0]
+    lines = (tmp_path / WitnessStore.FILENAME).read_text(encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["payload"]["m"] for line in lines) == list(range(1, count + 1))
+    store = WitnessStore(tmp_path)
+    assert len(store) == count and store.malformed_lines == 0

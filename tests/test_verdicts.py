@@ -245,6 +245,36 @@ def test_pm_verdict_matches_naive_class_scan():
             assert class_full_everywhere(*v.sign_class)
 
 
+def test_pm_verdict_matches_the_all_classes_reference():
+    from oracles import reference_pm_verdict
+
+    rng = random.Random(27)
+    for _ in range(400):
+        spec = _random_spec(rng, max_cycle=4, max_n=12)
+        m = rng.randrange(1, 7)
+        assert pm_verdict(spec, m) == reference_pm_verdict(spec, m), (spec.to_literal(), m)
+
+
+def test_pm_verdict_scans_half_the_classes_to_the_first_failure(monkeypatch):
+    import steinset.verdicts as verdicts
+
+    calls = []
+    real = verdicts.signed_product_counts
+
+    def counted(a, plus, minus):
+        calls.append((a.modulus, plus, minus))
+        return real(a, plus, minus)
+
+    monkeypatch.setattr(verdicts, "signed_product_counts", counted)
+    assert not pm_verdict(example_family_c2n1(8), 7).holds
+    assert calls == [(17, 7, 0), (17, 6, 1), (17, 5, 2), (17, 4, 3)]  # 8 classes, 4 scanned
+    calls.clear()
+    # every entry fails both scanned classes; each stops at entry 0
+    spec = SeqSpec(prefix=(), cycle=(cs(7, [0, 1]), cs(9, [0, 1]), cs(11, [0, 1])))
+    assert pm_verdict(spec, 2) == Verdict(holds=False, witnesses=(0,))
+    assert calls == [(7, 2, 0), (7, 1, 1)]
+
+
 def test_pm_verdict_failure_positions_can_differ_per_class():
     # {0,1,3} mod 7 fails the all-plus classes but has full differences;
     # {0,2} mod 5 has deficient differences; no single position fails
