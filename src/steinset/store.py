@@ -275,11 +275,11 @@ class WitnessStore:
         try:
             with self.path.open("rb") as fh:
                 fh.seek(self._read)
-                data = fh.read()
+                lines = fh.read().decode("utf-8").splitlines(keepends=True)
+                self._read = fh.tell()
         except FileNotFoundError:
             return
-        self._read += len(data)
-        self._add_lines(data.decode("utf-8").splitlines(keepends=True))
+        self._add_lines(lines)
 
     def _add_lines(self, lines: list[str]) -> None:
         """Key each line, in file order; a line whose key is known adds nothing."""
