@@ -382,41 +382,34 @@ for m in range(first, first + count):
 """
 
 
-def test_two_processes_append_disjoint_records_once_each(tmp_path):
+def _append_at_once(tmp_path, firsts, count):
+    """Run one appender process per first m, appending m .. m + count - 1 at
+    the same moment; the m of every line of the file, sorted."""
     import steinset
 
     env = dict(os.environ, PYTHONPATH=str(Path(steinset.__file__).parent.parent))
-    count = 150
-    start = time.time() + 1.0  # both children append at once, after start-up
+    start = time.time() + 1.0  # the children append at once, after start-up
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", _APPENDER, str(tmp_path), str(first), str(count), str(start)],
             env=env,
         )
-        for first in (1, 1 + count)
+        for first in firsts
     ]
-    assert [p.wait(timeout=60) for p in procs] == [0, 0]
+    assert [p.wait(timeout=60) for p in procs] == [0] * len(procs)
     lines = (tmp_path / WitnessStore.FILENAME).read_text(encoding="utf-8").splitlines()
-    assert sorted(json.loads(line)["payload"]["m"] for line in lines) == list(range(1, 2 * count + 1))
+    return sorted(json.loads(line)["payload"]["m"] for line in lines)
+
+
+def test_two_processes_append_disjoint_records_once_each(tmp_path):
+    count = 150
+    assert _append_at_once(tmp_path, (1, 1 + count), count) == list(range(1, 2 * count + 1))
     store = WitnessStore(tmp_path)
     assert len(store) == 2 * count and store.malformed_lines == 0
 
 
 def test_two_processes_append_the_same_records_once(tmp_path):
-    import steinset
-
-    env = dict(os.environ, PYTHONPATH=str(Path(steinset.__file__).parent.parent))
     count = 100
-    start = time.time() + 1.0  # both children append at once, after start-up
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-c", _APPENDER, str(tmp_path), "1", str(count), str(start)],
-            env=env,
-        )
-        for _ in range(2)
-    ]
-    assert [p.wait(timeout=60) for p in procs] == [0, 0]
-    lines = (tmp_path / WitnessStore.FILENAME).read_text(encoding="utf-8").splitlines()
-    assert sorted(json.loads(line)["payload"]["m"] for line in lines) == list(range(1, count + 1))
+    assert _append_at_once(tmp_path, (1, 1), count) == list(range(1, count + 1))
     store = WitnessStore(tmp_path)
     assert len(store) == count and store.malformed_lines == 0
