@@ -449,7 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--n-range", required=True, help="inclusive range LO..HI")
     p.add_argument("--mode", choices=("exhaustive", "stochastic"), default="exhaustive")
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument(
+        "--budget", type=int, default=100_000,
+        help="stochastic mode only: child evaluations per modulus; a budget "
+        ">= 2^(n-1) gives the exhaustive result",
+    )
     p.add_argument(
         "--seed", type=int, default=None, dest="search_seed", help="overrides the global --seed"
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from functools import lru_cache
 from math import gcd
 from operator import sub
 from typing import Iterable, Iterator
@@ -143,6 +144,7 @@ def canonical_mask(mask: int, n: int) -> int:
     return out
 
 
+@lru_cache(maxsize=64)  # each canonical_mask call walks the units of its modulus
 def units(n: int) -> tuple[int, ...]:
     """Residues u with gcd(u, n) = 1, i.e. the multiplicative units of Z_n."""
     return tuple(u for u in range(n) if gcd(u, n) == 1)

@@ -6,30 +6,27 @@ missing residue is kept as the certificate.  Both properties are invariant
 under affine maps x -> u*x + c, so searches enumerate or report one
 canonical representative per affine class.
 
-Exhaustive search is a depth-first walk over raw int masks.  It starts
+Both search modes run one depth-first walk over raw int masks.  It starts
 from the roots {0, d} with d | n (every affine class of witnesses has a
 representative containing 0 whose least nonzero element divides n, see
 _scan_modulus) and adds residues in increasing order, so each such mask is
 reached once.  The levels 1A..kA, -A and A - A are updated incrementally
 as residues are added.  Adding elements only grows kA, so a subtree is cut
-as soon as kA is full, or once |A| reaches max_set_size.  The first
-witness mask met in an affine class marks every image of the class that
-contains 0 (the only masks the walk can reach) and takes their minimum,
-the canonical form, as the representative; later masks of the class are a
-set lookup.
+as soon as kA is full, or once |A| reaches max_set_size.
 
-Stochastic search hill-climbs on membership masks under the objective
-(difference deficiency, then negated k-fold deficiency), restarting from
-states drawn from an explicitly specified xorshift64* generator so runs
-reproduce exactly from (seed, budget, n_range).  The candidates are the
-one-bit flips of the current mask, scored on raw int masks with no
-CyclicSet per evaluation: adding a residue updates A - A and 1A..kA of
-the current node by the walk's recurrences, removing one recomputes them
-with sumset_mask, and kA is not computed when the difference deficiency
-alone already loses to the best candidate.  Witness masks are reduced by
-canonical_mask; CyclicSets are built only for the classes returned.  The scores are exact, so the trajectory and the result are
-those of rebuilding every candidate as a CyclicSet (the reference search
-in tests/oracles.py).
+Exhaustive search walks every node.  The first witness mask met in an
+affine class marks every image of the class that contains 0 (the only
+masks the walk can reach) and takes their minimum, the canonical form, as
+the representative; later masks of the class are a set lookup.
+
+Stochastic search walks in a random order and stops after a budget of
+child evaluations per modulus.  Each expanded node draws one coin per
+child from an explicitly specified xorshift64* generator, and the children
+whose coin is set are walked first, so the first dive builds a random
+half-density set and later dives vary it.  A sampled class is rarely met
+twice, so each witness mask is reduced by canonical_mask instead of
+marking its orbit.  Runs reproduce exactly from (seed, budget, n_range),
+and a budget >= 2^(n-1) returns the exhaustive classes.
 """
 
 from __future__ import annotations
@@ -42,18 +39,18 @@ from .groups import (
     CyclicSet,
     affine_images_through_zero,
     canonical_mask,
-    negate_mask,
 )
-from .sumsets import iterated_sumset, signed_product_counts, sumset_mask
+from .sumsets import iterated_sumset, signed_product_counts
 from .values import Value, set_field
 
 # Exhaustive enumeration is refused beyond this modulus: the candidate
 # space grows as 2^(n-1) even after fixing 0 in A, and the kA-full cut only
-# slows the growth.  One k=2 scan (CPython 3.11, 2-vCPU x86-64 VM) took
-# 0.10 s at n = 18, 0.09 s at 19, 0.35 s at 20, 0.44 s at 21 and 1.0 s at
-# 22, about 3x per two steps, so for k=2 the cap is far above what
-# finishes in minutes.  Larger k fill kA sooner and cut more: the k=4 scan
-# at n = 40 took 5.2 s.
+# slows the growth.  In one run (CPython 3.11.7, shared 2-vCPU x86-64 VM,
+# where the same case varies up to 2x between runs) a k=2 scan took 0.11 s
+# at n = 18, 0.09 s at 19, 0.32 s at 20, 0.47 s at 21 and 1.0 s at 22,
+# about 3x per two steps, so for k=2 the cap is far above what finishes
+# in minutes.  Larger k fill kA sooner and cut more: the k=4 scan at
+# n = 40 took 4.0 s.
 EXHAUSTIVE_CAP = 40
 
 _MASK64 = (1 << 64) - 1
@@ -198,31 +195,42 @@ def canonical_witness(k: int, canonical_set: CyclicSet) -> HaightWitness:
     return w
 
 
-def _scan_modulus(n: int, k: int, max_set_size: int | None) -> list[HaightWitness]:
-    """All witness classes at one modulus, one canonical representative each.
+def _scan_modulus(
+    n: int,
+    k: int,
+    max_set_size: int | None,
+    rng: Xorshift64Star | None = None,
+    budget: int = 0,
+) -> list[HaightWitness]:
+    """Witness classes at one modulus, one canonical representative each.
 
     Witness sets have >= 2 elements, so each class has a representative
     with 0 in A whose least nonzero element d is the minimum of its orbit
     under unit multiplication.  That orbit is {x : gcd(x, n) = gcd(d, n)},
     whose minimum is gcd(d, n); hence d can be pinned to a divisor of n.
+
+    With an rng, children are walked in coin order (see the module
+    docstring) and the walk stops after ``budget`` child evaluations.  Each
+    evaluates a distinct mask containing 0, so a budget >= 2^(n-1) never
+    stops the walk.
     """
     if n == 1:
         return []  # Z_1 has only the full subset, never a witness
     full = (1 << n) - 1
     cap = n if max_set_size is None else max_set_size
     seen: set[int] = set()
-    reps: list[int] = []
+    reps: set[int] = set()
     # node: A, -A, A - A, levels (1A, ..., kA), residues its children add;
     # the root {0} adds only the divisors of n
     stack = [(1, 1, 1, (1,) * k, [d for d in range(1, n) if n % d == 0])]
     while stack:
         a, neg, diff, levels, xs = stack.pop()
-        if diff == full and a not in seen:
-            images = set(affine_images_through_zero(a, n))
-            seen |= images
-            reps.append(min(images))
         if a.bit_count() >= cap:
             continue
+        if rng is not None:
+            xs = xs[:budget]
+            budget -= len(xs)
+            top = len(stack)
         for x in xs:
             y = n - x  # -x mod n; rotating by x and by y are inverse
             prev = 1
@@ -237,7 +245,24 @@ def _scan_modulus(n: int, k: int, max_set_size: int | None) -> list[HaightWitnes
             nb = neg | (1 << y)
             # B - B = (A - A) | (B - x) | (x - B)
             d = diff | (((b << y) | (b >> x)) & full) | (((nb << x) | (nb >> y)) & full)
+            if d == full and b not in seen:
+                if rng is None:
+                    # mark the class's masks through 0, the only ones walked
+                    images = set(affine_images_through_zero(b, n))
+                    seen |= images
+                    reps.add(min(images))
+                else:  # a sampled class is rarely met twice
+                    reps.add(canonical_mask(b, n))
             stack.append((b, nb, d, tuple(grown), range(x + 1, n)))
+        if rng is not None:
+            if not budget:
+                break
+            kids = stack[top:]
+            coins = rng.bits(len(kids))
+            # the stack pops its last entry first: set coins, then the
+            # rest, each group smallest residue first
+            order = sorted(range(len(kids)), key=lambda i: (coins >> i & 1, -i))
+            stack[top:] = [kids[i] for i in order]
     return [canonical_witness(k, CyclicSet(n, m)) for m in sorted(reps)]
 
 
@@ -268,104 +293,23 @@ def minimal_modulus(k: int, cap: int) -> tuple[int, HaightWitness] | None:
     return None
 
 
-def _clamp_cardinality(mask: int, max_card: int) -> int:
-    # keep the lowest max_card members (bit 0 stays set)
-    while mask.bit_count() > max_card:
-        mask ^= 1 << (mask.bit_length() - 1)
-    return mask
-
-
-def _levels(a: int, n: int, k: int) -> list[int]:
-    """The levels (1A, ..., kA) of a non-empty mask."""
-    full = (1 << n) - 1
-    levels = [a]
-    for _ in range(k - 1):
-        top = levels[-1]
-        levels.append(top if top == full else sumset_mask(top, a, n))
-    return levels
-
-
-def _node(a: int, n: int, k: int) -> tuple[int, int, list[int]]:
-    """-A, A - A and the levels (1A, ..., kA) of a non-empty mask."""
-    neg = negate_mask(a, n)
-    return neg, sumset_mask(a, neg, n), _levels(a, n, k)
-
-
-def _stochastic_modulus(n: int, cfg: SearchConfig) -> list[HaightWitness]:
-    k, budget = cfg.k, cfg.budget
-    if (1 << max(n - 1, 0)) <= budget:
-        # whole mask space fits in the budget: cover it exhaustively
-        return _scan_modulus(n, k, cfg.max_set_size)
-
-    full = (1 << n) - 1
-    # score (|A - A| deficiency, |kA|) as one int, ordered lexicographically
-    # because |kA| <= n < span; best // span is the best difference deficiency
-    span = n + 1
-    found: set[int] = set()  # canonical masks of the witnesses scored
-    rng = Xorshift64Star(modulus_stream_seed(cfg.seed, n))
-    max_card = cfg.max_set_size if cfg.max_set_size is not None else n
-    evals = 0
-    while evals < budget:
-        mask = _clamp_cardinality(rng.bits(n) | 1, max_card)
-        neg, diff, levels = _node(mask, n, k)
-        evals += 1
-        current = (n - diff.bit_count()) * span + levels[-1].bit_count()
-        if diff == full and levels[-1] != full:
-            found.add(canonical_mask(mask, n))
-        while evals < budget:
-            best_mask, best = None, current
-            for b in range(1, n):
-                if evals >= budget:
-                    break
-                bit = 1 << b
-                cand = mask ^ bit
-                if cand.bit_count() > max_card:
-                    continue
-                evals += 1
-                y = n - b  # -b mod n
-                if mask & bit:
-                    # removal: recompute B - B, and kB below, from scratch
-                    d = sumset_mask(cand, neg ^ (1 << y), n)
-                else:
-                    # addition: B - B = (A - A) | (B - b) | (b - B)
-                    nb = neg | (1 << y)
-                    d = diff | (((cand << y) | (cand >> b)) & full)
-                    d |= ((nb << b) | (nb >> y)) & full
-                d_def = n - d.bit_count()
-                if d_def > best // span:
-                    continue  # loses to best whatever kB is
-                if mask & bit:
-                    top = _levels(cand, n, k)[-1]
-                else:
-                    # jB = jA | ((j-1)B + b)
-                    top = 1
-                    for level in levels:
-                        top = level | (((top << b) | (top >> y)) & full)
-                if d_def == 0 and top != full:
-                    found.add(canonical_mask(cand, n))
-                s = d_def * span + top.bit_count()
-                if s < best:
-                    best_mask, best = cand, s
-            if best_mask is None:
-                break
-            mask, current = best_mask, best
-            neg, diff, levels = _node(mask, n, k)
-    return [canonical_witness(k, CyclicSet(n, m)) for m in sorted(found)]
-
-
 def stochastic_search(cfg: SearchConfig) -> list[HaightWitness]:
-    """Seeded hill-climbing search; reproducible from (seed, budget, n_range).
+    """The pruned walk of exhaustive_search, in a seeded order and budgeted.
 
-    The budget caps candidate evaluations per modulus, so per-modulus
-    streams are independent and the merged result does not depend on
-    traversal order.  Every returned witness passes verify_witness.
+    At each modulus the walk draws its coins from xorshift64* seeded by
+    modulus_stream_seed(seed, n) and stops after ``budget`` child
+    evaluations, so runs reproduce from (seed, budget, n_range) and the
+    merged result does not depend on traversal order.  A budget >= 2^(n-1)
+    returns exactly the exhaustive classes at n.  Every returned witness
+    passes verify_witness.
     """
     if cfg.mode != "stochastic":
         raise ValueError(f"config mode is {cfg.mode!r}, expected 'stochastic'")
     lo, hi = cfg.n_range
     out: list[HaightWitness] = []
     for n in range(lo, hi + 1):
-        for w in _stochastic_modulus(n, cfg):
+        rng = Xorshift64Star(modulus_stream_seed(cfg.seed, n))
+        for w in _scan_modulus(n, cfg.k, cfg.max_set_size, rng, cfg.budget):
             ok, reason = verify_witness(w)
             if not ok:  # unreachable unless the search itself is broken
                 raise AssertionError(f"search produced an invalid witness: {reason}")

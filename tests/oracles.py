@@ -4,11 +4,11 @@ Everything here works on plain frozensets of residues with double loops,
 independent of the bitmask/convolution code paths under test.  The
 exceptions are the references for the witness searches, which test masks
 with the library's CyclicSet sumsets (themselves checked against the naive
-sumsets here): scan_haight_class_masks for the exhaustive search, sharing
-none of its pruning, incremental levels or orbit marking, and
-reference_stochastic_search for the stochastic one, which scores every
-candidate from scratch and canonicalizes with all n*phi(n) affine maps,
-and EagerWitnessStore for the store's open, which parses every line.
+sumsets here): scan_haight_class_masks for both search modes, sharing
+none of the walk's pruning, incremental levels or orbit marking and
+canonicalizing with all n*phi(n) affine maps, with haight_class_mask its
+per-mask test for ranges too large to list; and EagerWitnessStore for the
+store's open, which parses every line.
 reference_pm_verdict tests every sign-count class at every cycle entry
 with the naive signed products here.
 """
@@ -17,7 +17,6 @@ import json
 from math import gcd
 
 from steinset.groups import CyclicSet
-from steinset.haight import HaightWitness, Xorshift64Star, modulus_stream_seed
 from steinset.store import StoreRecord, WitnessStore
 from steinset.sumsets import iterated_sumset, signed_product_counts
 from steinset.verdicts import Verdict
@@ -144,21 +143,29 @@ def all_maps_canonical_mask(mask, n):
     return best
 
 
+def haight_class_mask(mask, n, k, max_set_size=None):
+    """The canonical mask of mask's affine class if mask is a (k, n) witness
+    with at most max_set_size members, else None.
+
+    A mask is in scan_haight_class_masks(n, k, max_set_size) exactly when
+    this maps it to itself: the scan's candidates hit every class, and
+    affine maps keep the size and both witness conditions.
+    """
+    if max_set_size is not None and mask.bit_count() > max_set_size:
+        return None
+    a = CyclicSet(n, mask)
+    if not signed_product_counts(a, 1, 1).is_full() or iterated_sumset(a, k).is_full():
+        return None
+    return all_maps_canonical_mask(mask, n)
+
+
 def scan_haight_class_masks(n, k, max_set_size=None):
     """Canonical masks of every witness class at modulus n: every candidate
     mask tested with the library's sumset kernels, no pruning or orbit marks."""
     if n == 1:
         return []
-    found = set()
-    for mask in candidate_masks(n):
-        if max_set_size is not None and mask.bit_count() > max_set_size:
-            continue
-        a = CyclicSet(n, mask)
-        if not signed_product_counts(a, 1, 1).is_full():
-            continue
-        if iterated_sumset(a, k).is_full():
-            continue
-        found.add(all_maps_canonical_mask(mask, n))
+    found = {haight_class_mask(mask, n, k, max_set_size) for mask in candidate_masks(n)}
+    found.discard(None)
     return sorted(found)
 
 
@@ -172,68 +179,6 @@ def random_symmetric_members(rng, n):
     c = rng.randrange(n)
     half = random_nonempty_members(rng, n)
     return frozenset(half) | frozenset((2 * c - x) % n for x in half)
-
-
-def _deficiency_pair(a, k):
-    diff_def = a.modulus - signed_product_counts(a, 1, 1).cardinality
-    k_def = a.modulus - iterated_sumset(a, k).cardinality
-    return diff_def, k_def
-
-
-def _reference_stochastic_masks(n, cfg):
-    """Canonical witness masks of the seeded hill climb at one modulus."""
-    budget = cfg.budget
-    if (1 << max(n - 1, 0)) <= budget:
-        # whole mask space fits in the budget: cover it exhaustively
-        return scan_haight_class_masks(n, cfg.k, cfg.max_set_size)
-    found = set()
-    canon = {}
-    rng = Xorshift64Star(modulus_stream_seed(cfg.seed, n))
-    evals = 0
-
-    def score(mask):
-        nonlocal evals
-        evals += 1
-        diff_def, k_def = _deficiency_pair(CyclicSet(n, mask), cfg.k)
-        if diff_def == 0 and k_def > 0:
-            if mask not in canon:
-                canon[mask] = all_maps_canonical_mask(mask, n)
-            found.add(canon[mask])
-        return diff_def, -k_def
-
-    max_card = cfg.max_set_size if cfg.max_set_size is not None else n
-    while evals < budget:
-        mask = rng.bits(n) | 1
-        while mask.bit_count() > max_card:
-            mask ^= 1 << (mask.bit_length() - 1)  # drop the highest member
-        current = score(mask)
-        while evals < budget:
-            best_mask, best_score = None, current
-            for b in range(1, n):
-                if evals >= budget:
-                    break
-                cand = mask ^ (1 << b)
-                if cand.bit_count() > max_card:
-                    continue
-                s = score(cand)
-                if s < best_score:
-                    best_mask, best_score = cand, s
-            if best_mask is None:
-                break
-            mask, current = best_mask, best_score
-    return sorted(found)
-
-
-def reference_stochastic_search(cfg):
-    """stochastic_search's result list, with every candidate scored from
-    CyclicSets: A - A and kA rebuilt per one-bit flip, no incremental levels."""
-    out = []
-    for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
-        for mask in _reference_stochastic_masks(n, cfg):
-            a = CyclicSet(n, mask)
-            cert = iterated_sumset(a, cfg.k).deficiency()[0]
-            out.append(HaightWitness(k=cfg.k, subset=a, certificate=cert))
-    return out
 
 
 class EagerWitnessStore(WitnessStore):

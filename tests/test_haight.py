@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -20,8 +21,8 @@ from steinset.haight import (
 from steinset.sumsets import iterated_sumset, signed_product_counts
 
 from oracles import (
+    haight_class_mask,
     naive_haight_class_masks,
-    reference_stochastic_search,
     scan_haight_class_masks,
 )
 
@@ -237,8 +238,10 @@ def _stochastic(k, lo, hi, budget, seed):
 
 
 def test_stochastic_is_deterministic():
-    a = _stochastic(2, 6, 14, budget=3000, seed=42)
-    b = _stochastic(2, 6, 14, budget=3000, seed=42)
+    # the full k=2 walk takes 11105 child evaluations at n = 16, so the
+    # budget truncates the top of the range
+    a = _stochastic(2, 6, 16, budget=3000, seed=42)
+    b = _stochastic(2, 6, 16, budget=3000, seed=42)
     assert a == b
     assert all(verify_witness(w)[0] for w in a)
 
@@ -253,44 +256,73 @@ def test_stochastic_zero_budget():
     assert _stochastic(2, 7, 7, budget=0, seed=1) == []
 
 
-def test_stochastic_finds_witnesses_by_climbing():
-    # budget below the 2^(n-1) fallback threshold forces actual hill climbing
-    found = _stochastic(2, 13, 13, budget=800, seed=3)
+def test_stochastic_finds_witnesses_in_a_truncated_walk():
+    # the full k=2 walk at n = 14 takes 2844 child evaluations
+    found = _stochastic(2, 14, 14, budget=800, seed=3)
     assert found
     for w in found:
-        assert w.modulus == 13
+        assert w.modulus == 14
         assert verify_witness(w)[0]
         assert w.subset == w.subset.canonical_form()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_stochastic_matches_reference_climb(k):
-    # budget 15 stops inside a neighbourhood; at n <= 9, 256 >= 2^(n-1)
-    # takes the exhaustive shortcut and n = 10 climbs; n >= 100 dispatches
-    # removals to the convolution kernel
-    cases = [
-        ((22, 24), 0), ((22, 24), 15), ((22, 24), 400),
-        ((30, 40), 120), ((100, 101), 150), ((7, 10), 256),
-    ]
-    for (lo, hi), budget in cases:
-        for max_set_size in (None, 6):
-            cfg = SearchConfig(
-                k=k, n_range=(lo, hi), mode="stochastic", budget=budget,
-                seed=31 * k + lo, max_set_size=max_set_size,
-            )
-            assert stochastic_search(cfg) == reference_stochastic_search(cfg), cfg
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stochastic_classes_are_scanned_classes(k):
+    # a mask is in scan_haight_class_masks(n, k, size) exactly when
+    # haight_class_mask maps it to itself, which tests membership without
+    # listing the 2^(n-2) candidates; budget 15 stops within the first
+    # few nodes, and 400 truncates every walk from n = 14 on
+    ranges = [(1, 20)] + ([(24, 24), (27, 27)] if k == 3 else [])
+    checked = 0
+    for lo, hi in ranges:
+        for budget in (0, 15, 400):
+            for size in (None, 6):
+                cfg = SearchConfig(
+                    k=k, n_range=(lo, hi), mode="stochastic", budget=budget,
+                    seed=31 * k + lo, max_set_size=size,
+                )
+                keys = [(w.modulus, w.subset.mask) for w in stochastic_search(cfg)]
+                assert keys == sorted(set(keys)), cfg
+                for n, mask in keys:
+                    assert haight_class_mask(mask, n, k, size) == mask, (cfg, n, mask)
+                checked += len(keys)
+    assert checked
+
+
+def test_stochastic_full_budget_returns_every_class():
+    # every evaluated child is a distinct mask through 0, so 2^(n-1)
+    # evaluations finish the walk.  Above n = 14 the exhaustive search,
+    # pinned to the oracle up to n = 16, stands in for the slow oracle.
+    cases = [(2, n) for n in range(1, 17)] + [(3, 14), (3, 20), (3, 24), (3, 27)]
+    for k, n in cases:
+        want = scan_haight_class_masks(n, k) if n <= 14 else _class_masks(k, n)
+        for seed in (0, 1, 99):
+            found = _stochastic(k, n, n, budget=1 << max(n - 1, 0), seed=seed)
+            assert [w.subset.mask for w in found] == want, (k, n, seed)
 
 
 def test_stochastic_golden_results():
-    # recorded from the CyclicSet-scored search, before raw-int scoring
-    found = _stochastic(2, 22, 24, budget=700, seed=1)
-    assert len(found) == 796
-    assert found[0] == witness(2, 22, [0, 1, 2, 3, 4, 6, 11], 16)
+    # seed 1 on the three benchmark configurations, recorded from the walk
     assert _stochastic(3, 24, 24, budget=2500, seed=1) == []
+    found = _stochastic(2, 22, 24, budget=700, seed=1)
+    assert Counter(w.modulus for w in found) == {22: 257, 23: 231, 24: 229}
+    assert found[0] == witness(2, 22, [0, 1, 2, 3, 4, 6, 7, 11], 16)
+    assert found[-1] == witness(2, 24, [0, 1, 2, 3, 4, 9, 12, 14, 15, 16, 17], 22)
+    found = _stochastic(2, 20, 21, budget=400, seed=1)
+    assert Counter(w.modulus for w in found) == {20: 133, 21: 105}
+    assert found[0] == witness(2, 20, [0, 1, 3, 7, 8, 10], 5)
+    assert found[-1] == witness(2, 21, [0, 1, 4, 5, 8, 9, 10, 11, 12, 15], 7)
+    # a planar difference set: 6 * 5 + 1 = 31 differences cover Z_31
     cfg = SearchConfig(
-        k=2, n_range=(30, 32), mode="stochastic", budget=1000, seed=3, max_set_size=6
+        k=2, n_range=(30, 32), mode="stochastic", budget=20000, seed=1, max_set_size=6
     )
-    assert stochastic_search(cfg) == []
+    assert stochastic_search(cfg) == [witness(2, 31, [0, 1, 4, 10, 12, 17], 6)]
+
+
+def test_stochastic_finds_order_3_classes_at_30():
+    # n = 30 has 18 k=3 classes; the full walk takes 1058408 evaluations
+    for seed in (11, 12, 13):
+        assert _stochastic(3, 30, 30, budget=60000, seed=seed), seed
 
 
 def test_stochastic_range_beyond_canonical_cap_rejected():
