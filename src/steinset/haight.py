@@ -7,12 +7,13 @@ under affine maps x -> u*x + c, so searches enumerate or report one
 canonical representative per affine class.
 
 Both search modes run one depth-first walk over raw int masks.  It starts
-from the roots {0, d} with d | n (every affine class of witnesses has a
-representative containing 0 whose least nonzero element divides n, see
-_scan_modulus) and adds residues in increasing order, so each such mask is
-reached once.  The levels 1A..kA, -A and A - A are updated incrementally
-as residues are added.  Adding elements only grows kA, so a subtree is cut
-as soon as kA is full, or once |A| reaches max_set_size.
+from {0} and adds residues in increasing order, so each mask is reached
+once, and it walks only the sets whose wrap-around gap n - max(A) is one
+of their largest cyclic gaps: every non-empty set has such a translate
+through 0, and every prefix of one is another (see _scan_modulus).  The
+levels 1A..kA, -A and A - A are updated incrementally as residues are
+added.  Adding elements only grows kA, so a subtree is cut as soon as kA
+is full, or once |A| reaches max_set_size.
 
 Exhaustive search walks every node.  The first witness mask met in an
 affine class marks every image of the class that contains 0 (the only
@@ -39,18 +40,19 @@ from .groups import (
     CyclicSet,
     affine_images_through_zero,
     canonical_mask,
+    negate_mask,
 )
-from .sumsets import iterated_sumset, signed_product_counts
+from .sumsets import sumset_mask
 from .values import Value, set_field
 
 # Exhaustive enumeration is refused beyond this modulus: the candidate
-# space grows as 2^(n-1) even after fixing 0 in A, and the kA-full cut only
-# slows the growth.  In one run (CPython 3.11.7, shared 2-vCPU x86-64 VM,
-# where the same case varies up to 2x between runs) a k=2 scan took 0.11 s
-# at n = 18, 0.09 s at 19, 0.32 s at 20, 0.47 s at 21 and 1.0 s at 22,
-# about 3x per two steps, so for k=2 the cap is far above what finishes
-# in minutes.  Larger k fill kA sooner and cut more: the k=4 scan at
-# n = 40 took 4.0 s.
+# space grows as 2^(n-1) even after fixing 0 in A, and the gap and kA-full
+# cuts only slow the growth.  In one run (CPython 3.11.7, shared 2-vCPU
+# x86-64 VM, where the same case varies up to 2x between runs) a k=2 scan
+# took 0.05 s at n = 18, 0.06 s at 19, 0.15 s at 20, 0.25 s at 21 and
+# 0.50 s at 22, about 3x per two steps, so for k=2 the cap is far above
+# what finishes in minutes.  Larger k fill kA sooner and cut more: the
+# k=4 scan at n = 40 took 1.0 s.
 EXHAUSTIVE_CAP = 40
 
 _MASK64 = (1 << 64) - 1
@@ -126,18 +128,37 @@ class HaightWitness(Value):
         )
 
 
+def _least_missing(mask: int) -> int:
+    """The least residue not in ``mask``."""
+    return (~mask & (mask + 1)).bit_length() - 1
+
+
+def _kfold_mask(a: int, k: int, n: int) -> int:
+    """kA on a raw non-empty mask (k >= 1) by doubling, exiting early once full."""
+    full = (1 << n) - 1
+    out = a
+    for bit in bin(k)[3:]:  # after the leading 1: jA -> 2jA, plus A on a set bit
+        out = sumset_mask(out, out, n)
+        if bit == "1":
+            out = sumset_mask(out, a, n)
+        if out == full:
+            break  # Z_n + B = Z_n
+    return out
+
+
 def verify_witness(w: HaightWitness) -> tuple[bool, str | None]:
     """Recompute both witness conditions from scratch; (ok, failure reason)."""
     if w.k < 1:
         return False, f"k must be >= 1, got {w.k}"
     if w.subset.is_empty():
         return False, "witness set is empty"
-    if not 0 <= w.certificate < w.modulus:
-        return False, f"certificate {w.certificate} out of range for modulus {w.modulus}"
-    differences = signed_product_counts(w.subset, 1, 1)
-    if not differences.is_full():
-        return False, f"difference set not full (missing {differences.deficiency()[0]})"
-    if w.certificate in iterated_sumset(w.subset, w.k):
+    n, a = w.modulus, w.subset.mask
+    if not 0 <= w.certificate < n:
+        return False, f"certificate {w.certificate} out of range for modulus {n}"
+    differences = sumset_mask(a, negate_mask(a, n), n)
+    if differences != (1 << n) - 1:
+        return False, f"difference set not full (missing {_least_missing(differences)})"
+    if _kfold_mask(a, w.k, n) >> w.certificate & 1:
         return False, "certificate present in kA"
     return True, None
 
@@ -187,11 +208,11 @@ _WITNESSES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 def canonical_witness(k: int, canonical_set: CyclicSet) -> HaightWitness:
     """The stored form of a witness class: its canonical set and least certificate."""
-    key = (k, canonical_set.modulus, canonical_set.mask)
-    w = _WITNESSES.get(key)
+    n, mask = canonical_set.modulus, canonical_set.mask
+    w = _WITNESSES.get((k, n, mask))
     if w is None:
-        cert = iterated_sumset(canonical_set, k).deficiency()[0]
-        w = _WITNESSES[key] = HaightWitness(k=k, subset=canonical_set, certificate=cert)
+        cert = _least_missing(_kfold_mask(mask, k, n))
+        w = _WITNESSES[k, n, mask] = HaightWitness(k=k, subset=canonical_set, certificate=cert)
     return w
 
 
@@ -204,10 +225,16 @@ def _scan_modulus(
 ) -> list[HaightWitness]:
     """Witness classes at one modulus, one canonical representative each.
 
-    Witness sets have >= 2 elements, so each class has a representative
-    with 0 in A whose least nonzero element d is the minimum of its orbit
-    under unit multiplication.  That orbit is {x : gcd(x, n) = gcd(d, n)},
-    whose minimum is gcd(d, n); hence d can be pinned to a divisor of n.
+    The walk visits the masks through 0 whose wrap-around gap n - max(A)
+    is at least every internal gap a_(i+1) - a_i.  Every class has one:
+    translating the member that follows a largest cyclic gap to 0 makes
+    that gap the wrap-around gap.  Every prefix of such a mask is another,
+    since its internal gaps are among the mask's and its top is no higher.
+    So a node with largest member ``last`` and largest internal gap g needs
+    only the children x with x - last <= n - x and g <= n - x, that is
+    last < x <= min(n - g, (n + last) // 2); the root {0} takes 1..n//2.
+    Pinning the least nonzero member to a divisor of n as well is not
+    valid: no affine image of {0,3,4,5,6,9} mod 14 through 0 meets both.
 
     With an rng, children are walked in coin order (see the module
     docstring) and the walk stops after ``budget`` child evaluations.  Each
@@ -220,13 +247,14 @@ def _scan_modulus(
     cap = n if max_set_size is None else max_set_size
     seen: set[int] = set()
     reps: set[int] = set()
-    # node: A, -A, A - A, levels (1A, ..., kA), residues its children add;
-    # the root {0} adds only the divisors of n
-    stack = [(1, 1, 1, (1,) * k, [d for d in range(1, n) if n % d == 0])]
+    # node: A, -A, A - A, levels (1A, ..., kA), max(A), largest internal gap
+    stack = [(1, 1, 1, (1,) * k, 0, 0)]
     while stack:
-        a, neg, diff, levels, xs = stack.pop()
+        a, neg, diff, levels, last, gap = stack.pop()
         if a.bit_count() >= cap:
             continue
+        # a child x keeps its new gaps x - last and gap within n - x
+        xs = range(last + 1, min(n - gap, (n + last) // 2) + 1)
         if rng is not None:
             xs = xs[:budget]
             budget -= len(xs)
@@ -253,7 +281,7 @@ def _scan_modulus(
                     reps.add(min(images))
                 else:  # a sampled class is rarely met twice
                     reps.add(canonical_mask(b, n))
-            stack.append((b, nb, d, tuple(grown), range(x + 1, n)))
+            stack.append((b, nb, d, tuple(grown), x, max(gap, x - last)))
         if rng is not None:
             if not budget:
                 break

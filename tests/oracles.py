@@ -5,10 +5,12 @@ independent of the bitmask/convolution code paths under test.  The
 exceptions are the references for the witness searches, which test masks
 with the library's CyclicSet sumsets (themselves checked against the naive
 sumsets here): scan_haight_class_masks for both search modes, sharing
-none of the walk's pruning, incremental levels or orbit marking and
-canonicalizing with all n*phi(n) affine maps, with haight_class_mask its
-per-mask test for ranges too large to list; and EagerWitnessStore for the
-store's open, which parses every line.
+none of the walk's pruning, incremental levels or orbit marking, taking
+its candidates from the divisor roots {0, d} rather than the walk's
+largest-gap translates, and canonicalizing with all n*phi(n) affine
+maps, with haight_class_mask its per-mask test for ranges too large to
+list; and EagerWitnessStore for the store's open, which parses every
+line.
 reference_pm_verdict tests every sign-count class at every cycle entry
 with the naive signed products here.
 """
@@ -43,6 +45,20 @@ def naive_signed(a, signs, n):
     for p in parts[1:]:
         out = naive_sumset(out, p, n)
     return out
+
+
+def naive_kfold(a, k, n):
+    """kA for any k >= 1, in at most n naive sums: B = A - min(A) holds 0,
+    so jB grows with j until it repeats, and kA = kB + k*min(A)."""
+    low = min(a)
+    b = frozenset((x - low) % n for x in a)
+    out = b
+    for _ in range(k - 1):
+        grown = naive_sumset(out, b, n)
+        if grown == out:
+            break
+        out = grown
+    return frozenset((x + k * low) % n for x in out)
 
 
 def naive_pm(a, m, n):

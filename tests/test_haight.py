@@ -22,7 +22,13 @@ from steinset.sumsets import iterated_sumset, signed_product_counts
 
 from oracles import (
     haight_class_mask,
+    members_of,
     naive_haight_class_masks,
+    naive_kfold,
+    naive_negate,
+    naive_orbit,
+    naive_sumset,
+    random_nonempty_members,
     scan_haight_class_masks,
 )
 
@@ -48,6 +54,35 @@ def test_verify_witness_examples():
     assert not ok and "empty" in reason
     ok, reason = verify_witness(witness(0, 7, [0, 1, 3], 5))
     assert not ok
+
+
+def test_verify_witness_matches_naive_sums():
+    # random sets mostly fail on kA, so half the payloads take a known
+    # witness class instead; k = 10**6 fills kA of every set with full
+    # differences, so those payloads fail
+    rng = random.Random(12)
+    classes = exhaustive_search(SearchConfig(k=2, n_range=(6, 14)))
+    outcomes = Counter()
+    for _ in range(800):
+        if rng.random() < 0.5:
+            n = rng.randrange(1, 25)
+            members = random_nonempty_members(rng, n)
+        else:
+            w = rng.choice(classes)
+            n, members = w.modulus, frozenset(w.subset.members())
+        k = rng.choice([1, 2, 3, 5, 10**6])
+        cert = rng.randrange(n)
+        differences = naive_sumset(members, naive_negate(members, n), n)
+        if len(differences) < n:
+            want = (False, f"difference set not full (missing {min(set(range(n)) - differences)})")
+        elif cert in naive_kfold(members, k, n):
+            want = (False, "certificate present in kA")
+        else:
+            want = (True, None)
+        got = verify_witness(HaightWitness(k=k, subset=cs(n, members), certificate=cert))
+        assert got == want, (n, sorted(members), k, cert)
+        outcomes[want[1] and want[1][:10]] += 1
+    assert len(outcomes) == 3 and min(outcomes.values()) > 50, outcomes
 
 
 def test_witness_json_round_trip():
@@ -95,7 +130,7 @@ def _class_masks(k, n, max_set_size=None):
 
 def test_exhaustive_matches_full_candidate_scan():
     for n in range(1, 15):
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             assert _class_masks(k, n) == scan_haight_class_masks(n, k), (k, n)
     for n in (15, 16):
         assert _class_masks(2, n) == scan_haight_class_masks(n, 2), n
@@ -118,6 +153,41 @@ def test_order_2_class_counts():
         10: 5, 11: 4, 12: 23, 13: 11, 14: 42, 15: 58,
         16: 113, 17: 89, 18: 497, 19: 271, 20: 1269,
     }
+
+
+def test_order_3_class_counts():
+    # golden data, past the reach of the full candidate scan; an earlier
+    # walk rooted at {0, d} for the divisors d of n gave the same lists
+    counts = {n: len(_class_masks(3, n)) for n in range(24, 31)}
+    assert counts == {24: 1, 25: 0, 26: 0, 27: 0, 28: 2, 29: 2, 30: 18}
+
+
+def _wrap_gap_is_largest(members, n):
+    """Whether the gap n - max(A) of a sorted set through 0 is one of its
+    largest cyclic gaps: the sets the exhaustive walk visits."""
+    return all(y - x <= n - members[-1] for x, y in zip(members, members[1:]))
+
+
+def test_every_set_has_a_translate_with_largest_wrap_gap():
+    # the walk's gap cut keeps every affine class: translate the member
+    # after a largest gap to 0
+    for n in range(1, 13):
+        for mask in range(1, 1 << n):
+            a = members_of(mask, n)
+            translates = (sorted((x - t) % n for x in a) for t in a)
+            assert any(_wrap_gap_is_largest(b, n) for b in translates), (n, sorted(a))
+
+
+def test_divisor_pin_and_gap_cut_do_not_combine():
+    # each cut alone keeps an image of {0,3,4,5,6,9} mod 14 through 0,
+    # but no image has both a divisor of 14 as least nonzero member and
+    # its largest gap last
+    n = 14
+    images = [sorted(b) for b in naive_orbit({0, 3, 4, 5, 6, 9}, n) if 0 in b]
+    gap_cut = [b for b in images if _wrap_gap_is_largest(b, n)]
+    assert gap_cut
+    assert any(n % b[1] == 0 for b in images)
+    assert not any(n % b[1] == 0 for b in gap_cut)
 
 
 def test_least_modulus_of_order_3():
@@ -238,10 +308,10 @@ def _stochastic(k, lo, hi, budget, seed):
 
 
 def test_stochastic_is_deterministic():
-    # the full k=2 walk takes 11105 child evaluations at n = 16, so the
-    # budget truncates the top of the range
-    a = _stochastic(2, 6, 16, budget=3000, seed=42)
-    b = _stochastic(2, 6, 16, budget=3000, seed=42)
+    # the full k=2 walk takes 4515 child evaluations at n = 17 and 9109
+    # at 18, so the budget truncates the top of the range
+    a = _stochastic(2, 6, 18, budget=3000, seed=42)
+    b = _stochastic(2, 6, 18, budget=3000, seed=42)
     assert a == b
     assert all(verify_witness(w)[0] for w in a)
 
@@ -257,7 +327,7 @@ def test_stochastic_zero_budget():
 
 
 def test_stochastic_finds_witnesses_in_a_truncated_walk():
-    # the full k=2 walk at n = 14 takes 2844 child evaluations
+    # the full k=2 walk at n = 14 takes 914 child evaluations
     found = _stochastic(2, 14, 14, budget=800, seed=3)
     assert found
     for w in found:
@@ -305,13 +375,13 @@ def test_stochastic_golden_results():
     # seed 1 on the three benchmark configurations, recorded from the walk
     assert _stochastic(3, 24, 24, budget=2500, seed=1) == []
     found = _stochastic(2, 22, 24, budget=700, seed=1)
-    assert Counter(w.modulus for w in found) == {22: 257, 23: 231, 24: 229}
-    assert found[0] == witness(2, 22, [0, 1, 2, 3, 4, 6, 7, 11], 16)
-    assert found[-1] == witness(2, 24, [0, 1, 2, 3, 4, 9, 12, 14, 15, 16, 17], 22)
+    assert Counter(w.modulus for w in found) == {22: 304, 23: 268, 24: 175}
+    assert found[0] == witness(2, 22, [0, 1, 3, 5, 7, 9, 11], 13)
+    assert found[-1] == witness(2, 24, [0, 1, 6, 7, 8, 11, 12, 13, 14, 16, 19], 10)
     found = _stochastic(2, 20, 21, budget=400, seed=1)
-    assert Counter(w.modulus for w in found) == {20: 133, 21: 105}
-    assert found[0] == witness(2, 20, [0, 1, 3, 7, 8, 10], 5)
-    assert found[-1] == witness(2, 21, [0, 1, 4, 5, 8, 9, 10, 11, 12, 15], 7)
+    assert Counter(w.modulus for w in found) == {20: 96, 21: 171}
+    assert found[0] == witness(2, 20, [0, 1, 3, 4, 5, 8, 10], 17)
+    assert found[-1] == witness(2, 21, [0, 1, 3, 6, 7, 8, 10, 14, 15, 17], 5)
     # a planar difference set: 6 * 5 + 1 = 31 differences cover Z_31
     cfg = SearchConfig(
         k=2, n_range=(30, 32), mode="stochastic", budget=20000, seed=1, max_set_size=6
@@ -320,7 +390,7 @@ def test_stochastic_golden_results():
 
 
 def test_stochastic_finds_order_3_classes_at_30():
-    # n = 30 has 18 k=3 classes; the full walk takes 1058408 evaluations
+    # n = 30 has 18 k=3 classes; the full walk takes 209714 evaluations
     for seed in (11, 12, 13):
         assert _stochastic(3, 30, 30, budget=60000, seed=seed), seed
 

@@ -11,7 +11,7 @@ tree's median exceeds the base's, then bisected to within 5%; the
 largest budget tried that took no longer than the base is reported.  A
 budget of 2^(n-1) or more covers the whole walk and ends the search.
 Writes one JSON file with the classes found and the median seconds on
-each side:
+each side, and the classes the working tree finds at the base's budget:
 
     python tools/bench_recall.py REV [--out FILE]
 
@@ -27,12 +27,11 @@ import json
 import os
 import platform
 import statistics
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-from bench_sumset import ROOT, _git, _load
+from bench_sumset import ROOT, _git, _load, _load_revision
 
 POINTS = [(2, n) for n in (20, 22, 24, 28, 32, 36, 48, 64)] + [(3, n) for n in (24, 30, 36, 48, 60)]
 SEEDS = (11, 12, 13, 14)
@@ -90,6 +89,7 @@ def _point(before, after, k: int, n: int, seed: int) -> dict:
         "budget_after": budget,
         "classes_after": classes,
         "seconds_after": round(seconds, 4),
+        "classes_after_same_budget": _timed(after, k, n, seed, BASE_BUDGET[k])[0],
     }
 
 
@@ -102,11 +102,7 @@ def main() -> None:
     before_sha = _git("rev-parse", args.rev).decode().strip()
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
-        archive = Path(tmp) / "src.tar"
-        archive.write_bytes(_git("archive", before_sha, "src"))
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp)
-        _load(Path(tmp) / "src", "steinset_before")
+        _load_revision(before_sha, tmp, "steinset_before")
         _load(ROOT / "src", "steinset_after")
         before, after = (importlib.import_module(f"steinset_{side}.haight")
                          for side in ("before", "after"))
@@ -116,7 +112,8 @@ def main() -> None:
                 cases.append(case)
                 print(f"k={k} n={n:>2} seed={seed}  before {case['classes_before']:>5} classes "
                       f"in {case['seconds_before']:.3f} s  after {case['classes_after']:>5} "
-                      f"in {case['seconds_after']:.3f} s (budget {case['budget_after']})",
+                      f"in {case['seconds_after']:.3f} s (budget {case['budget_after']}), "
+                      f"{case['classes_after_same_budget']} at the same budget",
                       flush=True)
 
     totals = []
@@ -125,7 +122,8 @@ def main() -> None:
         before_sum = sum(c["classes_before"] for c in mine)
         after_sum = sum(c["classes_after"] for c in mine)
         totals.append({"k": k, "n": n, "classes_before": before_sum, "classes_after": after_sum,
-                       "after_at_least_before": after_sum >= before_sum})
+                       "after_at_least_before": after_sum >= before_sum,
+                       "classes_after_same_budget": sum(c["classes_after_same_budget"] for c in mine)})
     record = {
         "label": "stochastic_recall",
         "layer": "L3 haight.stochastic_search",

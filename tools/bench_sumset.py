@@ -89,6 +89,15 @@ def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
+def _load_revision(sha: str, tmp: str, name: str):
+    """Import ``src/`` of git revision ``sha``, extracted under ``tmp``, as package ``name``."""
+    archive = Path(tmp) / "src.tar"
+    archive.write_bytes(_git("archive", sha, "src"))
+    with tarfile.open(archive) as tar:
+        tar.extractall(tmp)
+    return _load(Path(tmp) / "src", name)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision measured as 'before'")
@@ -98,11 +107,7 @@ def main() -> None:
     before_sha = _git("rev-parse", args.rev).decode().strip()
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
-        archive = Path(tmp) / "src.tar"
-        archive.write_bytes(_git("archive", before_sha, "src"))
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp)
-        sides = (_Side(_load(Path(tmp) / "src", "steinset_before")),
+        sides = (_Side(_load_revision(before_sha, tmp, "steinset_before")),
                  _Side(_load(ROOT / "src", "steinset_after")))
         for n in MODULI:
             for family in FAMILIES:
