@@ -28,6 +28,10 @@ half-density set and later dives vary it.  A sampled class is rarely met
 twice, so each witness mask is reduced by canonical_mask instead of
 marking its orbit.  Runs reproduce exactly from (seed, budget, n_range),
 and a budget >= 2^(n-1) returns the exhaustive classes.
+
+Neither mode re-checks the walk's output, whose A - A and kA are exact.
+verify_witness checks a witness from a file or the store from scratch,
+with the k-fold core sumsets.kfold_mask that canonical_witness uses too.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .groups import (
     canonical_mask,
     negate_mask,
 )
-from .sumsets import sumset_mask
+from .sumsets import kfold_mask, sumset_mask
 from .values import Value, set_field
 
 # Exhaustive enumeration is refused beyond this modulus: the candidate
@@ -121,9 +125,14 @@ class HaightWitness(Value):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "HaightWitness":
+        """Parse a payload; residues must lie in [0, n), as in a set literal."""
+        n, members = int(obj["n"]), obj["set"]
+        for a in members:
+            if not 0 <= a < n:
+                raise ValueError(f"residue {a} out of range for modulus {n}")
         return cls(
             k=int(obj["k"]),
-            subset=CyclicSet.from_members(int(obj["n"]), obj["set"]),
+            subset=CyclicSet.from_members(n, members),
             certificate=int(obj["cert"]),
         )
 
@@ -131,19 +140,6 @@ class HaightWitness(Value):
 def _least_missing(mask: int) -> int:
     """The least residue not in ``mask``."""
     return (~mask & (mask + 1)).bit_length() - 1
-
-
-def _kfold_mask(a: int, k: int, n: int) -> int:
-    """kA on a raw non-empty mask (k >= 1) by doubling, exiting early once full."""
-    full = (1 << n) - 1
-    out = a
-    for bit in bin(k)[3:]:  # after the leading 1: jA -> 2jA, plus A on a set bit
-        out = sumset_mask(out, out, n)
-        if bit == "1":
-            out = sumset_mask(out, a, n)
-        if out == full:
-            break  # Z_n + B = Z_n
-    return out
 
 
 def verify_witness(w: HaightWitness) -> tuple[bool, str | None]:
@@ -158,7 +154,7 @@ def verify_witness(w: HaightWitness) -> tuple[bool, str | None]:
     differences = sumset_mask(a, negate_mask(a, n), n)
     if differences != (1 << n) - 1:
         return False, f"difference set not full (missing {_least_missing(differences)})"
-    if _kfold_mask(a, w.k, n) >> w.certificate & 1:
+    if kfold_mask(a, w.k, n) >> w.certificate & 1:
         return False, "certificate present in kA"
     return True, None
 
@@ -211,7 +207,7 @@ def canonical_witness(k: int, canonical_set: CyclicSet) -> HaightWitness:
     n, mask = canonical_set.modulus, canonical_set.mask
     w = _WITNESSES.get((k, n, mask))
     if w is None:
-        cert = _least_missing(_kfold_mask(mask, k, n))
+        cert = _least_missing(kfold_mask(mask, k, n))
         w = _WITNESSES[k, n, mask] = HaightWitness(k=k, subset=canonical_set, certificate=cert)
     return w
 
@@ -312,6 +308,8 @@ def exhaustive_search(cfg: SearchConfig) -> list[HaightWitness]:
 
 def minimal_modulus(k: int, cap: int) -> tuple[int, HaightWitness] | None:
     """Least modulus n <= cap admitting a (k, n) witness, with one representative."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if cap > EXHAUSTIVE_CAP:
         raise ValueError(f"cap {cap} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
     for n in range(1, cap + 1):
@@ -328,8 +326,8 @@ def stochastic_search(cfg: SearchConfig) -> list[HaightWitness]:
     modulus_stream_seed(seed, n) and stops after ``budget`` child
     evaluations, so runs reproduce from (seed, budget, n_range) and the
     merged result does not depend on traversal order.  A budget >= 2^(n-1)
-    returns exactly the exhaustive classes at n.  Every returned witness
-    passes verify_witness.
+    returns exactly the exhaustive classes at n.  Like exhaustive_search,
+    it returns the walk's output unchecked.
     """
     if cfg.mode != "stochastic":
         raise ValueError(f"config mode is {cfg.mode!r}, expected 'stochastic'")
@@ -337,9 +335,5 @@ def stochastic_search(cfg: SearchConfig) -> list[HaightWitness]:
     out: list[HaightWitness] = []
     for n in range(lo, hi + 1):
         rng = Xorshift64Star(modulus_stream_seed(cfg.seed, n))
-        for w in _scan_modulus(n, cfg.k, cfg.max_set_size, rng, cfg.budget):
-            ok, reason = verify_witness(w)
-            if not ok:  # unreachable unless the search itself is broken
-                raise AssertionError(f"search produced an invalid witness: {reason}")
-            out.append(w)
+        out.extend(_scan_modulus(n, cfg.k, cfg.max_set_size, rng, cfg.budget))
     return out

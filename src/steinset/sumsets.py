@@ -53,6 +53,12 @@ take 0.02 / 0.08 / 0.16 / 0.41 / 1.8 ms at n = 1000 / 4096 / 16384 /
 not full (an interval [0, 3n/8), 2Z_n, and [0, (n-1)/2] whose sum misses
 one residue) take 0.89x-1.11x their time before the probe.
 
+The products kA, plus*A + minus*(-A) and m(A u -A) share one raw-mask
+core, ``kfold_mask`` (doubling on ``sumset_mask``, exiting once full),
+which ``haight`` calls too.  Only ``sumset`` calls the public kernels
+``sumset_shift_or`` / ``sumset_convolution``, so tools/bench_sumset.py and
+perfbench/tracing.py, which wrap them, learn which kernel ran.
+
 The test suite cross-checks the two kernels bit for bit.  Empty operands
 are rejected rather than propagated: a silently empty sumset usually
 means an upstream bug.
@@ -62,7 +68,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .groups import CyclicSet, EmptySetError, ModulusMismatchError, rotate_mask
+from .groups import CyclicSet, EmptySetError, ModulusMismatchError, negate_mask, rotate_mask
 
 # Dispatch constant of ``sumset``; see the module docstring for the rule.
 CONVOLUTION_FACTOR = 8
@@ -225,31 +231,26 @@ def sumset(a: CyclicSet, b: CyclicSet) -> CyclicSet:
     return sumset_shift_or(a, b)
 
 
-def iterated_sumset(a: CyclicSet, k: int) -> CyclicSet:
-    """k-fold sumset kA by binary exponentiation, exiting early once full.
+def kfold_mask(a: int, k: int, n: int) -> int:
+    """kA on a raw non-empty mask of Z_n (k >= 1) by doubling, exiting early once full."""
+    full = (1 << n) - 1
+    out = a
+    for bit in bin(k)[3:]:  # after the leading 1: jA -> 2jA, plus A on a set bit
+        out = sumset_mask(out, out, n)
+        if bit == "1":
+            out = sumset_mask(out, a, n)
+        if out == full:
+            break  # Z_n + B = Z_n
+    return out
 
-    Fullness is absorbing: Z_n + B = Z_n for any non-empty B.
-    """
+
+def iterated_sumset(a: CyclicSet, k: int) -> CyclicSet:
+    """k-fold sumset kA, exiting early once full."""
     if k < 1:
         raise ValueError(f"fold count must be >= 1, got {k}")
     if a.is_empty():
         raise EmptySetError("iterated sumset of an empty set")
-    result: CyclicSet | None = None
-    base = a
-    while True:
-        if k & 1:
-            result = base if result is None else sumset(result, base)
-            if result.is_full():
-                return result
-        k >>= 1
-        if not k:
-            break
-        base = sumset(base, base)
-        if base.is_full():
-            # at least one more summand of `base` is pending, so the total is full
-            return base
-    assert result is not None
-    return result
+    return _result(a.modulus, kfold_mask(a.mask, k, a.modulus))
 
 
 def _check_signs(signs: Sequence[int]) -> None:
@@ -280,11 +281,12 @@ def signed_product_counts(a: CyclicSet, plus: int, minus: int) -> CyclicSet:
         raise ValueError(f"invalid sign counts ({plus}, {minus})")
     if a.is_empty():
         raise EmptySetError("signed product of an empty set")
-    pos = iterated_sumset(a, plus) if plus else None
-    if pos is not None and (not minus or pos.is_full()):
-        return pos
-    neg = iterated_sumset(a.negate(), minus)
-    return neg if pos is None else sumset(pos, neg)
+    n = a.modulus
+    out = kfold_mask(a.mask, plus, n) if plus else 0
+    if minus and out != (1 << n) - 1:
+        neg = kfold_mask(negate_mask(a.mask, n), minus, n)
+        out = sumset_mask(out, neg, n) if plus else neg
+    return _result(n, out)
 
 
 def pm_product(a: CyclicSet, m: int) -> CyclicSet:
@@ -293,7 +295,8 @@ def pm_product(a: CyclicSet, m: int) -> CyclicSet:
         raise ValueError(f"fold count must be >= 1, got {m}")
     if a.is_empty():
         raise EmptySetError("pm product of an empty set")
-    return iterated_sumset(a.union(a.negate()), m)
+    n = a.modulus
+    return _result(n, kfold_mask(a.mask | negate_mask(a.mask, n), m, n))
 
 
 def sign_count_classes(m: int) -> list[tuple[int, int]]:

@@ -165,6 +165,13 @@ def test_haight_verify_command(capsys, tmp_path):
     assert code == 1
     assert objs[0]["failures"][0]["reason"].startswith("certificate present")
 
+    # residues are not reduced mod n: 7, 8, 10 would give the witness {0,1,3}
+    wrapped = tmp_path / "wrapped.jsonl"
+    wrapped.write_text(json.dumps({"k": 2, "n": 7, "set": [7, 8, 10], "cert": 5}))
+    code, out, err = run(capsys, "haight", "verify", str(wrapped))
+    assert code == 2 and out == ""
+    assert "line 1: malformed witness: residue 7 out of range for modulus 7" in err
+
 
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "sumset", "7:{0,1,3}", "nonsense")
@@ -173,6 +180,9 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "ksum", "7:{0,1,3}", "0")
     assert code == 2
+    for k in ("0", "-2"):
+        code, out, err = run(capsys, "haight", "minimal", k, "--cap", "6", "--no-store")
+        assert code == 2 and out == "" and f"k must be >= 1, got {k}" in err
 
 
 def test_independence_failure_exits_1(capsys):

@@ -91,6 +91,13 @@ def test_witness_json_round_trip():
     assert w.to_json_obj() == {"k": 2, "n": 7, "set": [0, 1, 3], "cert": 5}
 
 
+def test_witness_json_rejects_residues_out_of_range():
+    # from_members would reduce 7, 8, 10 mod 7 to the witness {0,1,3}
+    for members in ([7, 8, 10], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="out of range for modulus 7"):
+            HaightWitness.from_json_obj({"k": 2, "n": 7, "set": members, "cert": 5})
+
+
 def test_exhaustive_search_small_range():
     found = exhaustive_search(SearchConfig(k=2, n_range=(7, 7)))
     assert [w.subset for w in found] == [cs(7, [0, 1, 3])]
@@ -178,6 +185,31 @@ def test_every_set_has_a_translate_with_largest_wrap_gap():
             assert any(_wrap_gap_is_largest(b, n) for b in translates), (n, sorted(a))
 
 
+class _WidthRecorder:
+    """Stands in for the walk's rng: records each node's child count, draws 0."""
+
+    def __init__(self):
+        self.widths = []
+
+    def bits(self, width):
+        self.widths.append(width)
+        return 0
+
+
+def test_walk_child_rule_reaches_every_mask_with_largest_wrap_gap():
+    # at k=1 only the full mask is cut, so the seeded walk expands every
+    # node it reaches and draws one coin per child: 1 + the coins drawn
+    # counts the nodes walked, which must be every such mask but Z_n
+    for n in range(2, 15):
+        rng = _WidthRecorder()
+        haight._scan_modulus(n, 1, None, rng=rng, budget=1 << n)
+        want = sum(
+            _wrap_gap_is_largest(sorted(members_of(mask, n)), n)
+            for mask in range(1, (1 << n) - 1, 2)  # through 0, not full
+        )
+        assert 1 + sum(rng.widths) == want, n
+
+
 def test_divisor_pin_and_gap_cut_do_not_combine():
     # each cut alone keeps an image of {0,3,4,5,6,9} mod 14 through 0,
     # but no image has both a divisor of 14 as least nonzero member and
@@ -234,6 +266,9 @@ def test_minimal_modulus_values():
     assert found is not None and found[0] == 6
     assert found[1].subset == cs(6, [0, 1, 3])
     assert minimal_modulus(5, 4) is None
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            minimal_modulus(k, 6)
 
 
 def test_downward_closure_of_witnesses():

@@ -157,6 +157,21 @@ def test_reverify_flags_noncanonical_payload(tmp_path):
     assert "not canonical" in report.failures[0][1]
 
 
+def test_haight_residues_out_of_range_are_refused(tmp_path):
+    # from_members would reduce them mod 7 to the stored witness {0,1,3}
+    record = witness_record()
+    wrapped = StoreRecord(
+        kind="haight", payload={**record.payload, "set": [7, 8, 10]}, created_at=0
+    )
+    with pytest.raises(StoreVerificationError, match="residue 7 out of range"):
+        WitnessStore(tmp_path / "fresh").append(wrapped)
+    _write_records(tmp_path, [record, wrapped])
+    report = WitnessStore(tmp_path).reverify_all()
+    assert report.ok == 1
+    assert len(report.failures) == 1 and report.failures[0][0] == 1
+    assert "residue 7 out of range for modulus 7" in report.failures[0][1]
+
+
 def _write_records(store_dir, records):
     store_dir.mkdir(parents=True, exist_ok=True)
     (store_dir / WitnessStore.FILENAME).write_text(
