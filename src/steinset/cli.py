@@ -319,9 +319,20 @@ def cmd_lemma1_xi(args) -> int:
 
 
 def cmd_lemma1_intervals(args) -> int:
+    from math import log10
+
     from .thick import ThickFamilySpec, thick_intervals
 
     spec = _parse_literal(ThickFamilySpec.parse, args.spec)
+    # blocks print in decimal: refuse, before building any, a tower 2^(2^a) with
+    # more digits, floor(2^a * log10 2) + 1, than int-to-str converts (any a > 1000 has)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    a = max(max(s) for s in spec.index_sets)
+    if limit and int((1 << min(a, 1000)) * log10(2)) + 1 > limit:
+        raise UsageError(
+            f"index {a}: 2^(2^{a}) has more than {limit} decimal digits, "
+            "the most this interpreter converts"
+        )
     blocks = thick_intervals(spec)
     obj = {
         "command": "lemma1-intervals",

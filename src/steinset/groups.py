@@ -89,62 +89,59 @@ def negate_mask(mask: int, n: int) -> int:
     return rotate_mask(int(format(mask, f"0{n}b")[::-1], 2), 1, n)
 
 
-def affine_images_through_zero(mask: int, n: int) -> Iterator[int]:
-    """Masks of the affine images u*A + c of A that contain 0 (A non-empty).
-
-    u*A + c contains 0 exactly when c = -u*a for a member a, so these are
-    the |A|*phi(n) images rot(u*A, -u*a), possibly with repeats.
-    """
+def _unit_multiples(mask: int, n: int) -> Iterator[tuple[list[int], list[int], int]]:
+    """(sorted u*A, its cyclic gaps, the largest) per unit pair u, -u, u <= n/2; A non-empty."""
     memb = _mask_members(mask)
-    full = (1 << n) - 1
-    for u in units(n):
-        image = [u * a % n for a in memb]
-        um = 0
-        for b in image:
-            um |= 1 << b
-        for b in image:
-            # rotate by -b; b = 0 leaves um unchanged
-            yield ((um >> b) | (um << (n - b))) & full
-
-
-def canonical_mask(mask: int, n: int) -> int:
-    """min(affine_images_through_zero(mask, n)), by the largest-gap rule.
-
-    For a unit u and a member b of u*A, let g be the cyclic gap from the
-    member of u*A before b up to b.  The image rot(u*A, -b) has its top
-    element at n - g, and masks compare from the top bit, so the least
-    image starts just after a gap that is largest over all units.  Below
-    its top, that image's members step down by the gaps before b read
-    backwards, so among those images the least mask is the one whose
-    backward gap sequence is lexicographically largest.  Only those
-    sequences are compared, and one mask is built.  -u*A has the gaps of
-    u*A in reverse order, so each pair of units u, -u sorts once.  A must
-    be non-empty.
-    """
-    memb = _mask_members(mask)
-    best: list[int] = [0]
     for u in units(n):
         if 2 * u > n:
             break  # -u was paired with a smaller unit
         image = sorted([u * a % n for a in memb])
         # gaps[i]: from the member before image[i] up to image[i]
         gaps = list(map(sub, image, [image[-1] - n, *image[:-1]]))
-        top = max(gaps)
-        if top < best[0]:
-            continue
-        for seq in (gaps[::-1], gaps):  # backward gaps of u*A, of -u*A
-            i = -1
-            for _ in range(seq.count(top)):
-                i = seq.index(top, i + 1)
-                best = max(best, seq[i:] + seq[:i])
-    out, top = 0, n
-    for g in best:
-        top -= g
-        out |= 1 << top
+        yield image, gaps, max(gaps)
+
+
+def _gap_rotations(image: list[int], gaps: list[int], g: int, n: int) -> list[int]:
+    """Rotations of u*A and of -u*A that put a member just after a gap g at 0.
+
+    The gap from p up to b in u*A runs from -b up to -p in -u*A.
+    """
+    um = sum(map((1).__lshift__, image))  # distinct members: the sum is their OR
+    neg = negate_mask(um, n)
+    out = []
+    for i, gap in enumerate(gaps):
+        if gap == g:
+            out += rotate_mask(um, -image[i], n), rotate_mask(neg, image[i - 1], n)
     return out
 
 
-@lru_cache(maxsize=64)  # each canonical_mask call walks the units of its modulus
+def largest_gap_images(mask: int, n: int) -> list[int]:
+    """Masks of the affine images of A through 0 whose wrap-around gap is largest.
+
+    The image v*A + c through 0 has n - max as a largest gap exactly when
+    it rotates a member just after a largest gap of v*A to 0, for v = u or
+    -u of some pair.  These are the masks of A's class that the exhaustive
+    witness walk can reach.  A must be non-empty; a mask may repeat.
+    """
+    return [m for im, gaps, g in _unit_multiples(mask, n) for m in _gap_rotations(im, gaps, g, n)]
+
+
+def canonical_mask(mask: int, n: int) -> int:
+    """The least mask of an affine image of A (A non-empty).
+
+    Rotating an image down by its least member shrinks it, so the least
+    image contains 0.  An image through 0 that rotates the member b of u*A
+    to 0 has its top element at n - g, for g the gap of u*A before b, and
+    masks compare from the top bit.  So the least image starts just after
+    a gap that is largest over all units, and only the pairs whose largest
+    gap is that one have their rotations built.
+    """
+    pairs = list(_unit_multiples(mask, n))
+    best = max(g for _, _, g in pairs)
+    return min(m for im, gaps, g in pairs if g == best for m in _gap_rotations(im, gaps, g, n))
+
+
+@lru_cache(maxsize=64)  # canonical_mask and largest_gap_images walk them on every call
 def units(n: int) -> tuple[int, ...]:
     """Residues u with gcd(u, n) = 1, i.e. the multiplicative units of Z_n."""
     return tuple(u for u in range(n) if gcd(u, n) == 1)
@@ -306,11 +303,8 @@ class CyclicSet(Value):
 
         "Least" compares bitmasks as integers (bit r <=> residue r), so
         affinely equivalent sets share one canonical form and distinct
-        orbits never collide.  The least image contains 0 (rotating an
-        image down by its least member shrinks it), and its top element is
-        as low as possible, so it starts just after a largest cyclic gap of
-        some unit multiple u*A: only those rotations are compared (see
-        canonical_mask).
+        orbits never collide.  It starts just after a largest cyclic gap of
+        some unit multiple u*A (see canonical_mask).
         """
         n = self.modulus
         if n > CANONICAL_MAX_MODULUS:

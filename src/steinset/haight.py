@@ -16,9 +16,9 @@ added.  Adding elements only grows kA, so a subtree is cut as soon as kA
 is full, or once |A| reaches max_set_size.
 
 Exhaustive search walks every node.  The first witness mask met in an
-affine class marks every image of the class that contains 0 (the only
-masks the walk can reach) and takes their minimum, the canonical form, as
-the representative; later masks of the class are a set lookup.
+affine class marks the class's masks that the walk can reach
+(groups.largest_gap_images) and takes their minimum, the canonical form,
+as the representative; later masks of the class are a set lookup.
 
 Stochastic search walks in a random order and stops after a budget of
 child evaluations per modulus.  Each expanded node draws one coin per
@@ -42,8 +42,8 @@ from typing import Literal
 from .groups import (
     CANONICAL_MAX_MODULUS,
     CyclicSet,
-    affine_images_through_zero,
     canonical_mask,
+    largest_gap_images,
     negate_mask,
 )
 from .sumsets import kfold_mask, sumset_mask
@@ -125,16 +125,18 @@ class HaightWitness(Value):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "HaightWitness":
-        """Parse a payload; residues must lie in [0, n), as in a set literal."""
-        n, members = int(obj["n"]), obj["set"]
+        """Parse a payload; k, n, cert and the residues must be JSON integers
+        (not bools), ``set`` a list, and residues in [0, n), as in a set literal."""
+        k, n, members, cert = obj["k"], obj["n"], obj["set"], obj["cert"]
+        if not isinstance(members, list):
+            raise TypeError(f"set must be a list, got {members!r}")
+        for name, value in (("k", k), ("n", n), ("cert", cert), *(("residue", a) for a in members)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         for a in members:
             if not 0 <= a < n:
                 raise ValueError(f"residue {a} out of range for modulus {n}")
-        return cls(
-            k=int(obj["k"]),
-            subset=CyclicSet.from_members(n, members),
-            certificate=int(obj["cert"]),
-        )
+        return cls(k=k, subset=CyclicSet.from_members(n, members), certificate=cert)
 
 
 def _least_missing(mask: int) -> int:
@@ -271,9 +273,9 @@ def _scan_modulus(
             d = diff | (((b << y) | (b >> x)) & full) | (((nb << x) | (nb >> y)) & full)
             if d == full and b not in seen:
                 if rng is None:
-                    # mark the class's masks through 0, the only ones walked
-                    images = set(affine_images_through_zero(b, n))
-                    seen |= images
+                    # mark every mask of the class that the walk can reach
+                    images = largest_gap_images(b, n)
+                    seen.update(images)
                     reps.add(min(images))
                 else:  # a sampled class is rarely met twice
                     reps.add(canonical_mask(b, n))

@@ -56,6 +56,11 @@ def power_tower(a: int) -> int:
     return t
 
 
+def _certified(mm: int, x: int, y: int) -> bool:
+    """The inequality at x and the certificate's y >= m^2 + 2, for y = 2^(2^(x-1)), mm = m^2."""
+    return y * y - x > mm * (y + x) and y >= mm + 2
+
+
 def xi_sequence(m: int) -> tuple[int, int]:
     """(xi, Xi) for coefficient bound m: least certified threshold and its value.
 
@@ -68,9 +73,7 @@ def xi_sequence(m: int) -> tuple[int, int]:
     x = 1
     y = power_tower(0)  # 2^(2^(x-1)) at x = 1
     while True:
-        lhs = y * y - x
-        rhs = mm * (y + x)
-        if lhs > rhs and y >= mm + 2:
+        if _certified(mm, x, y):
             return x, y * y + x
         x += 1
         y *= y
@@ -80,8 +83,7 @@ def tail_certificate_holds(m: int, x: int) -> bool:
     """Does the inequality hold at x with the doubling certificate for all larger x?"""
     if m < 1 or x < 1:
         return False
-    y = power_tower(x - 1)
-    return y * y - x > m * m * (y + x) and y >= m * m + 2
+    return _certified(m * m, x, power_tower(x - 1))
 
 
 class BigInterval(Value):

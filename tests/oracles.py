@@ -9,8 +9,9 @@ none of the walk's pruning, incremental levels or orbit marking, taking
 its candidates from the divisor roots {0, d} rather than the walk's
 largest-gap translates, and canonicalizing with all n*phi(n) affine
 maps, with haight_class_mask its per-mask test for ranges too large to
-list; and EagerWitnessStore for the store's open, which parses every
-line.
+list; affine_images_through_zero, every image of a mask through 0, for
+groups.canonical_mask and largest_gap_images; and EagerWitnessStore for
+the store's open, which parses every line.
 reference_pm_verdict tests every sign-count class at every cycle entry
 with the naive signed products here.
 """
@@ -157,6 +158,28 @@ def all_maps_canonical_mask(mask, n):
         for c in range(n):
             best = min(best, ((um << c) | (um >> (n - c))) & full)
     return best
+
+
+def affine_images_through_zero(mask, n):
+    """Masks of the affine images u*A + c of A that contain 0 (A non-empty).
+
+    u*A + c contains 0 exactly when c = -u*a for a member a, so these are
+    the |A|*phi(n) images rot(u*A, -u*a), possibly with repeats.  The
+    reference for canonical_mask (their minimum) and largest_gap_images
+    (those whose wrap-around gap is largest).
+    """
+    full = (1 << n) - 1
+    memb = [r for r in range(n) if mask >> r & 1]
+    for u in range(n):
+        if gcd(u, n) != 1:
+            continue
+        image = [u * a % n for a in memb]
+        um = 0
+        for b in image:
+            um |= 1 << b
+        for b in image:
+            # rotate by -b; b = 0 leaves um unchanged
+            yield ((um >> b) | (um << (n - b))) & full
 
 
 def haight_class_mask(mask, n, k, max_set_size=None):

@@ -1,4 +1,6 @@
 import json
+import sys
+from math import floor, log10
 
 import pytest
 
@@ -78,6 +80,20 @@ def test_lemma1_commands(capsys, tmp_path):
     code, objs, _ = run_json(capsys, "lemma1", "independence", "sets=[{1},{2}] a_max=2", "2")
     assert code == 0
     assert objs[0]["passed"] is True
+
+
+def test_lemma1_intervals_refuses_towers_too_long_to_print(capsys):
+    # 2^(2^14) has 4933 decimal digits, past the default limit of 4300;
+    # the refusal comes before any tower is built
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    a = next(a for a in range(1, 64) if floor((1 << a) * log10(2)) + 1 > limit)
+    code, out, err = run(capsys, "lemma1", "intervals", f"sets=[{{1,{a}}},{{2}}] a_max={a}")
+    assert code == 2 and out == ""
+    assert f"index {a}: 2^(2^{a}) has more than {limit} decimal digits" in err
+    code, objs, _ = run_json(capsys, "lemma1", "intervals", f"sets=[{{{a - 1}}}] a_max={a}")
+    assert code == 0 and objs[0]["sets"][0][0]["a"] == a - 1
 
 
 def test_haight_minimal_and_store_flow(capsys, tmp_path):
@@ -171,6 +187,13 @@ def test_haight_verify_command(capsys, tmp_path):
     code, out, err = run(capsys, "haight", "verify", str(wrapped))
     assert code == 2 and out == ""
     assert "line 1: malformed witness: residue 7 out of range for modulus 7" in err
+
+    # JSON integers only: int() would read this as the valid {0,1,3} mod 7
+    coerced = tmp_path / "coerced.jsonl"
+    coerced.write_text('{"k":2.9,"n":7.9,"set":[true,false,3],"cert":"5"}')
+    code, out, err = run(capsys, "haight", "verify", str(coerced))
+    assert code == 2 and out == ""
+    assert "line 1: malformed witness: k must be an integer, got 2.9" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -10,14 +10,15 @@ from steinset.groups import (
     EmptySetError,
     MAX_MODULUS,
     ModulusMismatchError,
-    affine_images_through_zero,
     all_affine_maps,
     canonical_mask,
+    largest_gap_images,
     rotate_mask,
     units,
 )
 
 from oracles import (
+    affine_images_through_zero,
     mask_of,
     naive_mask,
     naive_canonical_mask,
@@ -216,6 +217,7 @@ def test_canonical_mask_matches_orbit_minimum_on_ties():
     for n, members in _tie_heavy_sets(rng):
         want = naive_canonical_mask(members, n)
         assert canonical_mask(mask_of(members, n), n) == want, (n, sorted(members))
+        assert min(largest_gap_images(mask_of(members, n), n)) == want
         assert CyclicSet.from_members(n, members).canonical_form().mask == want
 
 
@@ -225,6 +227,21 @@ def test_canonical_mask_matches_images_through_zero_up_to_512():
         for size in (1, 2, 7, n // 8, n // 2, n - 3, n):
             mask = mask_of(rng.sample(range(n), size), n)
             assert canonical_mask(mask, n) == min(affine_images_through_zero(mask, n)), (n, size)
+
+
+def test_largest_gap_images_are_the_orbit_masks_the_walk_reaches():
+    # images through 0 whose wrap-around gap n - max is at least every
+    # internal gap: exactly the masks the exhaustive witness walk visits
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randrange(1, 25)
+        members = random_nonempty_members(rng, n)
+        want = set()
+        for img in naive_orbit(members, n):
+            b = sorted(img)
+            if b[0] == 0 and all(y - x <= n - b[-1] for x, y in zip(b, b[1:])):
+                want.add(mask_of(b, n))
+        assert set(largest_gap_images(mask_of(members, n), n)) == want, (n, sorted(members))
 
 
 def test_affine_images_through_zero_are_the_orbit_masks_containing_0():

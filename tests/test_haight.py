@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from steinset import haight
-from steinset.groups import CANONICAL_MAX_MODULUS, AffineMap, CyclicSet
+from steinset.groups import CANONICAL_MAX_MODULUS, AffineMap, CyclicSet, largest_gap_images
 from steinset.haight import (
     EXHAUSTIVE_CAP,
     HaightWitness,
@@ -96,6 +96,18 @@ def test_witness_json_rejects_residues_out_of_range():
     for members in ([7, 8, 10], [-1, 0, 1]):
         with pytest.raises(ValueError, match="out of range for modulus 7"):
             HaightWitness.from_json_obj({"k": 2, "n": 7, "set": members, "cert": 5})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", 2.9), ("k", True), ("n", 7.9), ("n", "7"), ("cert", "5"), ("cert", 5.0),
+     ("set", [True, 1, 3]), ("set", [0, 1.0, 3]), ("set", "013")],
+)
+def test_witness_json_requires_integers(field, value):
+    # int() would read 2.9 as 2 and "5" as 5, and True passes the range check as 1
+    payload = {"k": 2, "n": 7, "set": [0, 1, 3], "cert": 5, field: value}
+    with pytest.raises(TypeError):
+        HaightWitness.from_json_obj(payload)
 
 
 def test_exhaustive_search_small_range():
@@ -208,6 +220,22 @@ def test_walk_child_rule_reaches_every_mask_with_largest_wrap_gap():
             for mask in range(1, (1 << n) - 1, 2)  # through 0, not full
         )
         assert 1 + sum(rng.widths) == want, n
+
+
+def test_exhaustive_walk_marks_each_class_once(monkeypatch):
+    # the first witness mask of a class marks all its masks the walk can
+    # reach, so every later one is a set lookup: one marking per class
+    calls = []
+
+    def counted(mask, n):
+        calls.append(mask)
+        return largest_gap_images(mask, n)
+
+    monkeypatch.setattr(haight, "largest_gap_images", counted)
+    for k, n in [(2, n) for n in range(6, 17)] + [(3, 24)]:
+        calls.clear()
+        found = haight._scan_modulus(n, k, None)
+        assert found and len(calls) == len(found), (k, n, len(calls), len(found))
 
 
 def test_divisor_pin_and_gap_cut_do_not_combine():

@@ -172,6 +172,19 @@ def test_haight_residues_out_of_range_are_refused(tmp_path):
     assert "residue 7 out of range for modulus 7" in report.failures[0][1]
 
 
+def test_haight_payloads_must_hold_json_integers(tmp_path):
+    # int() would store this as {"cert":5,"k":2,"n":7,"set":[0,1,3]}
+    coerced = StoreRecord(
+        kind="haight",
+        payload={"k": 2.9, "n": 7.9, "set": [True, False, 3], "cert": "5"},
+        created_at=0,
+    )
+    store = WitnessStore(tmp_path)
+    with pytest.raises(StoreVerificationError, match="k must be an integer"):
+        store.append(coerced)
+    assert len(store) == 0 and len(WitnessStore(tmp_path)) == 0
+
+
 def _write_records(store_dir, records):
     store_dir.mkdir(parents=True, exist_ok=True)
     (store_dir / WitnessStore.FILENAME).write_text(
