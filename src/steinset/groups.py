@@ -21,10 +21,9 @@ from .values import Value, set_field
 # Guard against accidental huge allocations; one bit per residue.
 MAX_MODULUS = 1 << 20
 
-# canonical_form sorts phi(n)/2 unit multiples of A (see canonical_mask),
-# so it gets its own cap.  At n = 512 it takes 0.64 / 1.6 / 9.7 ms on random
-# sets of 8 / 32 / 256 members, against 2.4 / 7.4 / 47 ms when all
-# |A|*phi(n) images through 0 were compared (CPython 3.11, 2-vCPU x86-64 VM).
+# canonical_form sorts phi(n)/2 unit multiples of A (see canonical_mask), so it
+# gets its own cap.  At n = 512 it takes 0.47 / 1.2 / 7.7 ms on random sets of
+# 8 / 32 / 256 members (CPython 3.11, 2-vCPU x86-64 VM, BENCH_largest_gap.json).
 CANONICAL_MAX_MODULUS = 512
 
 _LITERAL_RE = re.compile(r"^\s*(\d+)\s*:\s*\{([^{}]*)\}\s*$")
