@@ -4,6 +4,7 @@ from math import floor, log10
 
 import pytest
 
+from steinset import thick
 from steinset.cli import main, parse_signs
 from steinset.store import StoreRecord
 
@@ -82,14 +83,15 @@ def test_lemma1_commands(capsys, tmp_path):
     assert objs[0]["passed"] is True
 
 
-def test_lemma1_intervals_refuses_towers_too_long_to_print(capsys):
-    # 2^(2^14) has 4933 decimal digits, past the default limit of 4300;
-    # the refusal comes before any tower is built
+def test_lemma1_intervals_refuses_towers_too_long_to_print(capsys, monkeypatch):
+    # at the default limit of 4300 digits, a = 14: 2^(2^14) has 4933
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("this interpreter converts integers of any length")
     a = next(a for a in range(1, 64) if floor((1 << a) * log10(2)) + 1 > limit)
-    code, out, err = run(capsys, "lemma1", "intervals", f"sets=[{{1,{a}}},{{2}}] a_max={a}")
+    with monkeypatch.context() as patch:
+        patch.setattr(thick, "power_tower", lambda i: pytest.fail(f"tower {i} built"))
+        code, out, err = run(capsys, "lemma1", "intervals", f"sets=[{{1,{a}}},{{2}}] a_max={a}")
     assert code == 2 and out == ""
     assert f"index {a}: 2^(2^{a}) has more than {limit} decimal digits" in err
     code, objs, _ = run_json(capsys, "lemma1", "intervals", f"sets=[{{{a - 1}}}] a_max={a}")
