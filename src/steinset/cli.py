@@ -35,10 +35,6 @@ DEFAULT_STORE_DIR = "steinset-store"
 STORE_DIR_ENV = "STEINSET_STORE_DIR"
 
 
-class UsageError(Exception):
-    pass
-
-
 def _timestamp(args) -> int | None:
     return 0 if args.no_timestamp else None
 
@@ -49,18 +45,11 @@ def _open_store(args):
     return WitnessStore(args.store_dir)
 
 
-def _parse_literal(parse, text: str):
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def parse_signs(text: str) -> tuple[int, ...]:
     """Sign vector from "+-+" or "+1,-1,+1" (or "1,-1")."""
     text = text.strip()
     if not text:
-        raise UsageError("empty sign vector")
+        raise ValueError("empty sign vector")
     if "," in text or text.lstrip("+-").startswith("1"):
         out = []
         for tok in text.split(","):
@@ -70,11 +59,11 @@ def parse_signs(text: str) -> tuple[int, ...]:
             elif tok == "-1":
                 out.append(-1)
             else:
-                raise UsageError(f"bad sign entry {tok!r}")
+                raise ValueError(f"bad sign entry {tok!r}")
         return tuple(out)
     if set(text) <= {"+", "-"}:
         return tuple(1 if ch == "+" else -1 for ch in text)
-    raise UsageError(f"bad sign vector {text!r}")
+    raise ValueError(f"bad sign vector {text!r}")
 
 
 def emit(args, obj: dict, lines: list[str]) -> None:
@@ -112,10 +101,10 @@ def cmd_set(args) -> int:
     from .groups import CyclicSet
 
     _, name, function = SET_COMMANDS[args.op]
-    a = _parse_literal(CyclicSet.parse, args.a)
+    a = CyclicSet.parse(args.a)
     operand = shown = getattr(args, name)
     if name == "b":
-        operand = _parse_literal(CyclicSet.parse, shown)
+        operand = CyclicSet.parse(shown)
         shown = operand.to_literal()
     elif name == "eps":
         operand = parse_signs(shown)
@@ -141,7 +130,7 @@ def cmd_verdict(args) -> int:
     from .verdicts import VERDICTS, SeqSpec
 
     op = args.op
-    spec = _parse_literal(SeqSpec.parse, args.spec)
+    spec = SeqSpec.parse(args.spec)
     param = parse_signs(args.eps) if op == "eps" else args.m
     verdict = VERDICTS[op](spec, param)
     obj = {
@@ -241,7 +230,7 @@ def cmd_haight_verify(args) -> int:
 
     path = Path(args.file)
     if not path.exists():
-        raise UsageError(f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     witnesses: list[HaightWitness] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -251,7 +240,7 @@ def cmd_haight_verify(args) -> int:
             payload = obj["payload"] if "payload" in obj else obj
             witnesses.append(HaightWitness.from_json_obj(payload))
         except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"line {lineno}: malformed witness: {exc}") from exc
+            raise ValueError(f"line {lineno}: malformed witness: {exc}") from exc
     failures = []
     for i, w in enumerate(witnesses):
         ok, reason = verify_witness(w)
@@ -323,13 +312,13 @@ def cmd_lemma1_intervals(args) -> int:
 
     from .thick import ThickFamilySpec, thick_intervals
 
-    spec = _parse_literal(ThickFamilySpec.parse, args.spec)
+    spec = ThickFamilySpec.parse(args.spec)
     # blocks print in decimal: refuse, before building any, a tower 2^(2^a) with
-    # more digits, floor(2^a * log10 2) + 1, than int-to-str converts (any a > 1000 has)
+    # more digits, floor(2^a * log10 2) + 1, than int-to-str converts
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     a = max(max(s) for s in spec.index_sets)
-    if limit and int((1 << min(a, 1000)) * log10(2)) + 1 > limit:
-        raise UsageError(
+    if limit and int((1 << a) * log10(2)) + 1 > limit:
+        raise ValueError(
             f"index {a}: 2^(2^{a}) has more than {limit} decimal digits, "
             "the most this interpreter converts"
         )
@@ -353,7 +342,7 @@ def cmd_lemma1_intervals(args) -> int:
 def cmd_lemma1_independence(args) -> int:
     from .thick import DEFAULT_TUPLE_CAP, ThickFamilySpec, independence_check
 
-    spec = _parse_literal(ThickFamilySpec.parse, args.spec)
+    spec = ThickFamilySpec.parse(args.spec)
     cap = DEFAULT_TUPLE_CAP if args.tuple_cap is None else args.tuple_cap
     result = independence_check(spec, args.m, tuple_cap=cap)
     obj = {
@@ -408,7 +397,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo_s, hi_s = text.split("..")
         return int(lo_s), int(hi_s)
     except ValueError as exc:
-        raise UsageError(f"bad modulus range {text!r}, expected LO..HI") from exc
+        raise ValueError(f"bad modulus range {text!r}, expected LO..HI") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,9 +502,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError) as exc:
         # the error classes are imported only on this path
         from .store import StoreVerificationError

@@ -25,17 +25,27 @@ choice of n <= m distinct sets, nonzero coefficients in [-m, m], and points
 x_i in the expanded blocks not all inside [-Xi(m), Xi(m)], the combination
 sum(lambda_i * x_i) must be nonzero.  It is verified by exhaustive
 enumeration in exact integer arithmetic.
+
+Blocks against the threshold: block a lies inside [-Xi(m), Xi(m)] iff
+a <= xi.  With T = 2^(2^xi) >= 4, a block a <= xi ends by T + xi = Xi, and
+one a > xi starts at 2^(2^a) - a (increasing in a) >= T^2 - xi - 1 > Xi, as
+T^2 - T >= 3T > 2xi + 1.  So a set's points, 2a + 1 per block, and those
+inside [-Xi, Xi] are counted from its indices alone.  Indices are at most
+MAX_INDEX = 20: a tower has at most 2^20 + 1 bits, like the largest mask
+that groups.MAX_MODULUS allows.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import combinations, product
+from math import prod
 from typing import Iterable, Sequence
 
 from .values import Value, set_field
 
 DEFAULT_A_MAX = 5
+MAX_INDEX = 20  # largest index a spec accepts
 DEFAULT_TUPLE_CAP = 10_000_000
 
 _SPEC_RE = re.compile(r"^\s*sets=\[(?P<sets>.*)\]\s+a_max=(?P<amax>\d+)\s*$")
@@ -71,7 +81,7 @@ def xi_sequence(m: int) -> tuple[int, int]:
         raise ValueError(f"m must be >= 1, got {m}")
     mm = m * m
     x = 1
-    y = power_tower(0)  # 2^(2^(x-1)) at x = 1
+    y = 2  # 2^(2^(x-1)) at x = 1
     while True:
         if _certified(mm, x, y):
             return x, y * y + x
@@ -103,9 +113,6 @@ class BigInterval(Value):
         base = power_tower(a)
         return cls(base - a, base + a, a)
 
-    def points(self) -> range:
-        return range(self.lo, self.hi + 1)
-
     def run_length(self) -> int:
         return self.hi - self.lo + 1
 
@@ -130,6 +137,8 @@ class ThickFamilySpec(Value):
             for a in s:
                 if not 1 <= a <= self.a_max:
                     raise ValueError(f"index {a} outside [1, a_max={self.a_max}]")
+                if a > MAX_INDEX:
+                    raise ValueError(f"index {a} above the largest index {MAX_INDEX}")
                 if a in seen:
                     raise ValueError(f"index {a} appears in more than one set")
                 seen.add(a)
@@ -170,14 +179,10 @@ def thick_intervals(spec: ThickFamilySpec) -> list[list[BigInterval]]:
     Within one set the blocks are pairwise disjoint: consecutive towers are
     squared, which outruns the linear slack a.
     """
-    out = []
-    for s in spec.index_sets:
-        blocks = [BigInterval.from_index(a) for a in sorted(s) if a <= spec.a_max]
-        for prev, nxt in zip(blocks, blocks[1:]):
-            if prev.hi >= nxt.lo:  # cannot happen for indices >= 1
-                raise AssertionError(f"blocks {prev} and {nxt} overlap")
-        out.append(blocks)
-    return out
+    return [
+        [BigInterval.from_index(a) for a in sorted(s) if a <= spec.a_max]
+        for s in spec.index_sets
+    ]
 
 
 def contains_run(index_set: Iterable[int], run_length: int) -> int | None:
@@ -219,13 +224,6 @@ class IndependenceResult(Value):
         set_field(self, "counterexample", counterexample)
 
 
-def _family_points(spec: ThickFamilySpec) -> list[list[int]]:
-    return [
-        [x for block in blocks for x in block.points()]
-        for blocks in thick_intervals(spec)
-    ]
-
-
 def independence_check(
     spec: ThickFamilySpec, m: int, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> IndependenceResult:
@@ -236,34 +234,40 @@ def independence_check(
     tuple over [-m, m] without zeros.  Point tuples entirely inside
     [-Xi(m), Xi(m)] are outside the guarantee and are skipped.
 
+    The tuple count comes from block sizes (module docstring), so a family
+    over ``tuple_cap`` is refused before any tower is built.
+
     A failure returns the zero-sum tuple; on a valid (pairwise disjoint)
     family a failure would mean the thresholds themselves are wrong, which
     is exactly what this check cross-validates.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    _, big_xi = xi_sequence(m)
-    points = _family_points(spec)
+    xi, big_xi = xi_sequence(m)
+    # per set: (points, points inside [-Xi, Xi]) from its listed indices
+    sizes = [
+        (sum(2 * a + 1 for a in s if a <= spec.a_max),
+         sum(2 * a + 1 for a in s if a <= min(xi, spec.a_max)))
+        for s in spec.index_sets
+    ]
     coeffs = [c for c in range(-m, m + 1) if c != 0]
+    top = min(m, len(sizes))
 
     # refuse oversized enumerations before starting
-    total_tuples = 0
-    for n in range(1, min(m, len(points)) + 1):
-        lam_count = len(coeffs) ** n
-        for combo in combinations(range(len(points)), n):
-            all_pts = 1
-            small_pts = 1
-            for i in combo:
-                all_pts *= len(points[i])
-                small_pts *= sum(1 for x in points[i] if abs(x) <= big_xi)
-            total_tuples += (all_pts - small_pts) * lam_count
+    total_tuples = sum(
+        (prod(t for t, _ in combo) - prod(s for _, s in combo)) * len(coeffs) ** n
+        for n in range(1, top + 1)
+        for combo in combinations(sizes, n)
+    )
     if total_tuples > tuple_cap:
-        raise BudgetExceededError(
-            f"{total_tuples} tuples exceed the cap of {tuple_cap}"
-        )
+        raise BudgetExceededError(f"{total_tuples} tuples exceed the cap of {tuple_cap}")
 
+    points = [
+        [x for block in blocks for x in range(block.lo, block.hi + 1)]
+        for blocks in thick_intervals(spec)
+    ]
     checked = 0
-    for n in range(1, min(m, len(points)) + 1):
+    for n in range(1, top + 1):
         lam_vectors = list(product(coeffs, repeat=n))
         for combo in combinations(range(len(points)), n):
             for xs in product(*(points[i] for i in combo)):

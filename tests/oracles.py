@@ -13,15 +13,18 @@ list; affine_images_through_zero, every image of a mask through 0, for
 groups.canonical_mask and largest_gap_images; and EagerWitnessStore for
 the store's open, which parses every line.
 reference_pm_verdict tests every sign-count class at every cycle entry
-with the naive signed products here.
+with the naive signed products here.  naive_covered_tuples counts the
+tuples a thick-set independence check covers point by point.
 """
 
 import json
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 from steinset.groups import CyclicSet
 from steinset.store import StoreRecord, WitnessStore
 from steinset.sumsets import iterated_sumset, signed_product_counts
+from steinset.thick import xi_sequence
 from steinset.verdicts import Verdict
 
 
@@ -271,3 +274,20 @@ def reference_pm_verdict(spec, m):
             return Verdict(holds=True, k0=k0, sign_class=(plus, minus))
         first_failures.append(failing[0])
     return Verdict(holds=False, witnesses=tuple(sorted(set(first_failures))))
+
+
+def naive_covered_tuples(spec, m):
+    """Tuples that independence_check(spec, m) covers, from the listed points:
+    per n-subset of sets, n <= m, the point tuples not all inside
+    [-Xi(m), Xi(m)] times the (2m)^n coefficient tuples."""
+    _, big_xi = xi_sequence(m)
+    per_set = []
+    for s in spec.index_sets:
+        points = [x for a in sorted(s) if a <= spec.a_max
+                  for x in range(2 ** 2 ** a - a, 2 ** 2 ** a + a + 1)]
+        per_set.append((len(points), sum(1 for x in points if abs(x) <= big_xi)))
+    return sum(
+        (prod(t for t, _ in combo) - prod(s for _, s in combo)) * (2 * m) ** n
+        for n in range(1, min(m, len(per_set)) + 1)
+        for combo in combinations(per_set, n)
+    )

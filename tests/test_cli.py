@@ -98,6 +98,13 @@ def test_lemma1_intervals_refuses_towers_too_long_to_print(capsys, monkeypatch):
     assert code == 0 and objs[0]["sets"][0][0]["a"] == a - 1
 
 
+def test_lemma1_independence_refuses_indices_above_the_bound(capsys, monkeypatch):
+    monkeypatch.setattr(thick, "power_tower", lambda i: pytest.fail(f"tower {i} built"))
+    code, out, err = run(capsys, "lemma1", "independence", "sets=[{40}] a_max=40", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: index 40 above the largest index {thick.MAX_INDEX}\n"
+
+
 def test_haight_minimal_and_store_flow(capsys, tmp_path):
     store = str(tmp_path / "cache")
     code, objs, _ = run_json(

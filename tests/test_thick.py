@@ -1,6 +1,9 @@
 import pytest
 
+from oracles import naive_covered_tuples
+from steinset import thick
 from steinset.thick import (
+    MAX_INDEX,
     BigInterval,
     BudgetExceededError,
     ThickFamilySpec,
@@ -154,3 +157,60 @@ def test_independence_rejects_bad_m():
     spec = ThickFamilySpec((frozenset({1}),), a_max=1)
     with pytest.raises(ValueError):
         independence_check(spec, 0)
+
+
+def _families(indices, max_sets):
+    """Each family of at most max_sets disjoint non-empty sets drawn from
+    indices, once, its sets ordered by least member."""
+    families = [[]]
+    for a in indices:
+        families = [
+            grown
+            for sets in families
+            for grown in (
+                [sets]
+                + [sets[:i] + [s | {a}] + sets[i + 1:] for i, s in enumerate(sets)]
+                + ([sets + [frozenset({a})]] if len(sets) < max_sets else [])
+            )
+        ]
+    return [tuple(f) for f in families if f]
+
+
+def _counted_total(spec, m):
+    """The tuple total that independence_check counts, read from its refusal."""
+    with pytest.raises(BudgetExceededError) as info:
+        independence_check(spec, m, tuple_cap=-1)
+    return int(str(info.value).split()[0])
+
+
+def test_independence_count_from_blocks_matches_points():
+    families = _families(range(1, 8), 4)
+    assert len(families) == 3844
+    enumerated = 0
+    for sets in families:
+        spec = ThickFamilySpec(sets, a_max=7)
+        for m in range(1, 5):
+            want = naive_covered_tuples(spec, m)
+            assert _counted_total(spec, m) == want, (spec.to_literal(), m)
+            if want <= 1000:
+                result = independence_check(spec, m)
+                assert result.passed and result.tuples_checked == want
+                enumerated += 1
+    assert enumerated > 1000
+
+
+def test_independence_refuses_before_building_towers(monkeypatch):
+    monkeypatch.setattr(thick, "power_tower", lambda a: pytest.fail(f"tower {a} built"))
+    spec = ThickFamilySpec((frozenset({1, 4}), frozenset({2}), frozenset({3})), a_max=4)
+    with pytest.raises(BudgetExceededError):
+        independence_check(spec, 3, tuple_cap=10)
+
+
+def test_spec_refuses_indices_above_max_index():
+    top = MAX_INDEX + 1
+    ThickFamilySpec((frozenset({MAX_INDEX}),), a_max=top)
+    with pytest.raises(ValueError, match=f"index {top}"):
+        ThickFamilySpec((frozenset({1, top}),), a_max=top)
+    with pytest.raises(ValueError, match=f"index {top}"):
+        ThickFamilySpec.parse(f"sets=[{{1}},{{{top}}}] a_max={top}")
+    ThickFamilySpec.unchecked([{top}], a_max=top)

@@ -30,18 +30,14 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_sumset import ROOT, _extract_revision, _git
+
 SEED = 11  # session script and pre-fill seed
 REPS = 7  # timed spawns per command and side
-
-
-def _git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
 class _Side:
@@ -92,12 +88,8 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        archive = tmp / "src.tar"
-        archive.write_bytes(_git("archive", before_sha, "src"))
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp / "before")
         session = workloads.Session(SEED, "full", tmp / "session")
-        sides = (_Side(tmp / "before" / "src", tmp / "store-before", session),
+        sides = (_Side(_extract_revision(before_sha, tmp / "before"), tmp / "store-before", session),
                  _Side(ROOT / "src", tmp / "store-after", session))
         count = len(session.ops)
 

@@ -30,7 +30,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_sumset import ROOT, _git, _load, _load_revision
+from bench_sumset import ROOT, _extract_revision, _git, _load
 
 CASES = [(2, 20), (2, 22), (2, 24), (3, 24), (3, 30), (3, 36), (4, 36), (4, 40)]
 REPS = 3  # timed calls per scan case and side
@@ -101,7 +101,7 @@ def main() -> None:
     before_sha = _git("rev-parse", args.rev).decode().strip()
     cases, canonical_cases = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        _load_revision(before_sha, tmp, "steinset_before")
+        _load(_extract_revision(before_sha, Path(tmp)), "steinset_before")
         _load(ROOT / "src", "steinset_after")
         sides = ("before", "after")
         haights = [importlib.import_module(f"steinset_{s}.haight") for s in sides]

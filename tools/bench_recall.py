@@ -5,11 +5,12 @@ in one interpreter: the source of a given git revision (the base of the
 change) and ``src/`` of the working tree.  For every (k, n, seed) the
 base runs at a fixed budget (BASE_BUDGET[k]).  Each budget tried for the
 working tree is timed in REPS pairs of calls, one call of each copy per
-pair, so drift in machine speed hits both alike, and the two medians are
-compared.  The budget is raised from START_BUDGET until the working
-tree's median exceeds the base's, then bisected to within 5%; the
-largest budget tried that took no longer than the base is reported.  A
-budget of 2^(n-1) or more covers the whole walk and ends the search.
+pair, the side that goes first alternating per pair, so drift in machine
+speed hits both alike, and the two medians are compared.  The budget is
+raised from START_BUDGET until the working tree's median exceeds the
+base's, then bisected to within 5%; the largest budget tried that took
+no longer than the base is reported.  A budget of 2^(n-1) or more covers
+the whole walk and ends the search.
 Writes one JSON file with the classes found and the median seconds on
 each side, and the classes the working tree finds at the base's budget:
 
@@ -31,7 +32,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_sumset import ROOT, _git, _load, _load_revision
+from bench_sumset import ROOT, _extract_revision, _git, _load
 
 POINTS = [(2, n) for n in (20, 22, 24, 28, 32, 36, 48, 64)] + [(3, n) for n in (24, 30, 36, 48, 60)]
 SEEDS = (11, 12, 13, 14)
@@ -56,12 +57,13 @@ def _point(before, after, k: int, n: int, seed: int) -> dict:
     fit, over = 0, None  # the largest budget within time, the least one over it
     budget = START_BUDGET
     for _ in range(MAX_STEPS):
-        times: tuple[list[float], list[float]] = ([], [])
-        for _ in range(REPS):
-            base_classes, t = _timed(before, k, n, seed, BASE_BUDGET[k])
-            times[0].append(t)
-            classes, t = _timed(after, k, n, seed, budget)
-            times[1].append(t)
+        runs = ((before, BASE_BUDGET[k]), (after, budget))
+        found, times = [0, 0], ([], [])
+        for rep in range(REPS):
+            for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
+                found[i], t = _timed(runs[i][0], k, n, seed, runs[i][1])
+                times[i].append(t)
+        base_classes, classes = found
         target, seconds = (statistics.median(t) for t in times)
         trials.append((budget, classes, seconds, target))
         if seconds <= target:
@@ -102,7 +104,7 @@ def main() -> None:
     before_sha = _git("rev-parse", args.rev).decode().strip()
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
-        _load_revision(before_sha, tmp, "steinset_before")
+        _load(_extract_revision(before_sha, Path(tmp)), "steinset_before")
         _load(ROOT / "src", "steinset_after")
         before, after = (importlib.import_module(f"steinset_{side}.haight")
                          for side in ("before", "after"))
@@ -135,9 +137,10 @@ def main() -> None:
         "seeds": list(SEEDS),
         "budget_before": {str(k): b for k, b in BASE_BUDGET.items()},
         "method": "before runs at budget_before; each budget tried for after is timed in "
-                  f"{REPS} alternating pairs of calls; after's budget is raised until its median "
-                  "time exceeds before's median in the same pairs, then bisected; the largest "
-                  "budget tried that took no longer is reported (or the whole walk, if it fits)",
+                  f"{REPS} pairs of calls, the side that goes first alternating per pair; "
+                  "after's budget is raised until its median time exceeds before's median in "
+                  "the same pairs, then bisected; the largest budget tried that took no longer "
+                  "is reported (or the whole walk, if it fits)",
         "totals": totals,
         "cases": cases,
     }

@@ -89,13 +89,14 @@ def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def _load_revision(sha: str, tmp: str, name: str):
-    """Import ``src/`` of git revision ``sha``, extracted under ``tmp``, as package ``name``."""
-    archive = Path(tmp) / "src.tar"
+def _extract_revision(sha: str, dest: Path) -> Path:
+    """Extract ``src/`` of git revision ``sha`` under ``dest``; the extracted ``src``."""
+    dest.mkdir(parents=True, exist_ok=True)
+    archive = dest / "src.tar"
     archive.write_bytes(_git("archive", sha, "src"))
     with tarfile.open(archive) as tar:
-        tar.extractall(tmp)
-    return _load(Path(tmp) / "src", name)
+        tar.extractall(dest)
+    return dest / "src"
 
 
 def main() -> None:
@@ -107,7 +108,7 @@ def main() -> None:
     before_sha = _git("rev-parse", args.rev).decode().strip()
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
-        sides = (_Side(_load_revision(before_sha, tmp, "steinset_before")),
+        sides = (_Side(_load(_extract_revision(before_sha, Path(tmp)), "steinset_before")),
                  _Side(_load(ROOT / "src", "steinset_after")))
         for n in MODULI:
             for family in FAMILIES:
