@@ -25,6 +25,7 @@ _EXPORTS = {
     "NotSymmetricError": "verdicts",
     "SearchConfig": "haight",
     "SeqSpec": "verdicts",
+    "SteinsetError": "values",
     "StoreRecord": "store",
     "StoreVerificationError": "store",
     "ThickFamilySpec": "thick",

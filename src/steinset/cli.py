@@ -2,7 +2,11 @@
 
 Exit status: 0 for success (a Fails verdict is a result, not an error),
 1 for verification failures (invalid witnesses, store corruption, failed
-independence checks), 2 for usage or literal parse errors.
+independence checks) and refusals, 2 for usage or parse errors and for
+files that cannot be read or written.  ``main`` is the one error boundary:
+an error derived from ``values.SteinsetError`` carries its stderr
+``prefix`` and its ``exit_status`` as class attributes; any other
+ValueError or OSError prints ``error: ...`` and exits 2.
 
 Set literals are ``"n:{a,b,c}"``, sequence specs
 ``"prefix=[...] cycle=[...]"``, thick family specs
@@ -12,9 +16,8 @@ or comma separated ("+1,-1,+1").
 The default store directory is ``./steinset-store``, overridable with
 --store-dir or the STEINSET_STORE_DIR environment variable.
 
-Each command handler imports the modules it uses, and ``main`` imports the
-library's error classes only when a handler raises, so a process loads
-only what its command runs.
+Each command handler imports the modules it uses, and the error boundary
+imports nothing, so a process loads only what its command runs.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .values import SteinsetError
 
 if TYPE_CHECKING:
     from .haight import HaightWitness
@@ -502,22 +506,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
-        # the error classes are imported only on this path
-        from .store import StoreVerificationError
-        from .thick import BudgetExceededError
-        from .verdicts import NotSymmetricError, WitnessChainError
-
-        if isinstance(exc, (NotSymmetricError, StoreVerificationError, WitnessChainError)):
-            print(f"verification failure: {exc}", file=sys.stderr)
-            return 1
-        if isinstance(exc, BudgetExceededError):
-            print(f"refused: {exc}", file=sys.stderr)
-            return 1
-        if isinstance(exc, ValueError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        raise
+    except (SteinsetError, ValueError, OSError) as exc:
+        print(f"{getattr(exc, 'prefix', 'error')}: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_status", 2)
 
 
 if __name__ == "__main__":

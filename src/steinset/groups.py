@@ -289,13 +289,15 @@ class CyclicSet(Value):
 
         Additive reading of symmetry about a point: -A = A - 2c.
         """
-        if self.is_empty():
+        n, mask = self.modulus, self.mask
+        if not mask:
             raise EmptySetError("symmetry center of the empty set is undefined")
-        neg = self.negate()
-        for c in range(self.modulus):
-            if rotate_mask(neg.mask, 2 * c, self.modulus) == self.mask:
-                return c
-        return None
+        # c maps the least member a0 to some member b, so 2c = a0 + b + j*n with
+        # j = 0 or 1: one c per b for odd n, two (c, c + n/2) or none for even n
+        a = _mask_members(mask)
+        twice = sorted({(a[0] + b) % n + j * n for b in a for j in (0, 1)})
+        neg = negate_mask(mask, n)
+        return next((t // 2 for t in twice if t % 2 == 0 and rotate_mask(neg, t, n) == mask), None)
 
     def canonical_form(self) -> "CyclicSet":
         """Least representative of the orbit under all affine maps of Z_n.

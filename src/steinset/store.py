@@ -49,14 +49,14 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .values import Value, set_field
+from .values import SteinsetError, Value, set_field
 
 if TYPE_CHECKING:
     from .haight import HaightWitness
     from .verdicts import SeqSpec, Verdict
 
 
-class StoreVerificationError(ValueError):
+class StoreVerificationError(SteinsetError, ValueError):
     """Payload failed its verification gate."""
 
 
@@ -72,25 +72,12 @@ class StoreRecord(Value):
         set_field(self, "producer", {} if producer is None else producer)
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "payload": self.payload,
-                "created_at": self.created_at,
-                "producer": self.producer,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        fields = {f: getattr(self, f) for f in self._fields}
+        return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
 def _record(kind: str, payload: dict, producer: dict | None, created_at: int | None) -> StoreRecord:
-    return StoreRecord(
-        kind=kind,
-        payload=payload,
-        created_at=int(time.time()) if created_at is None else created_at,
-        producer=producer or {},
-    )
+    return StoreRecord(kind, payload, int(time.time()) if created_at is None else created_at, producer)
 
 
 def _verdict_payload(op: str, spec: SeqSpec, param: Any, verdict: Verdict) -> dict:
@@ -338,8 +325,12 @@ class WitnessStore:
             if key in self._positions:
                 return self._positions[key]
             line = canonical.to_json_line() + "\n"
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+            try:
+                fd = os.open(self.path, flags, 0o666)
+            except FileNotFoundError:  # the directory is made on first append
+                self.directory.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.path, flags, 0o666)
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd closes
                 size = os.fstat(fd).st_size

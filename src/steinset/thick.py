@@ -42,7 +42,7 @@ from itertools import combinations, product
 from math import prod
 from typing import Iterable, Sequence
 
-from .values import Value, set_field
+from .values import SteinsetError, Value, set_field
 
 DEFAULT_A_MAX = 5
 MAX_INDEX = 20  # largest index a spec accepts
@@ -52,8 +52,10 @@ _SPEC_RE = re.compile(r"^\s*sets=\[(?P<sets>.*)\]\s+a_max=(?P<amax>\d+)\s*$")
 _SET_RE = re.compile(r"\{[^{}]*\}")
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(SteinsetError, RuntimeError):
     """The enumeration would exceed the configured tuple cap."""
+
+    prefix = "refused"
 
 
 def power_tower(a: int) -> int:

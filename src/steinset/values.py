@@ -1,4 +1,4 @@
-"""Base of the immutable value classes.
+"""Base of the immutable value classes, and of the errors the CLI reports as results.
 
 A subclass lists its fields in ``__slots__`` (plus ``"__weakref__"`` if it
 must be weakly referenceable) and sets them in its own ``__init__`` with
@@ -15,6 +15,15 @@ from operator import attrgetter
 
 # sets a field inside __init__, where Value.__setattr__ would refuse it
 set_field = object.__setattr__
+
+
+class SteinsetError(Exception):
+    """A verification failure or a refusal, which ``cli.main`` reports as
+    ``f"{prefix}: {message}"`` on stderr with exit status ``exit_status``.
+    Each subclass also derives from ValueError or RuntimeError."""
+
+    exit_status = 1
+    prefix = "verification failure"
 
 
 class Value:

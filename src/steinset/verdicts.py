@@ -29,7 +29,7 @@ from .sumsets import (
     signed_product,
     signed_product_counts,
 )
-from .values import Value, set_field
+from .values import SteinsetError, Value, set_field
 
 if TYPE_CHECKING:
     from .haight import HaightWitness
@@ -40,7 +40,7 @@ _SPEC_RE = re.compile(
 )
 
 
-class NotSymmetricError(ValueError):
+class NotSymmetricError(SteinsetError, ValueError):
     """A sequence entry has no symmetry center; carries the position."""
 
     def __init__(self, position: int, entry: CyclicSet):
@@ -249,7 +249,7 @@ class HaightSequenceReport(Value):
         )
 
 
-class WitnessChainError(ValueError):
+class WitnessChainError(SteinsetError, ValueError):
     """A witness in a k = 1..K chain failed verification; names the position."""
 
 

@@ -217,6 +217,22 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2 and out == "" and f"k must be >= 1, got {k}" in err
 
 
+def test_file_errors_exit_2_with_one_line_and_no_traceback(capsys, tmp_path):
+    # a directory where a witness file is expected (IsADirectoryError)
+    code, out, err = run(capsys, "haight", "verify", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    # a store directory that cannot be created: below a regular file, and a
+    # dangling symbolic link (os.open misses, then mkdir fails)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "link").symlink_to(tmp_path / "missing" / "store")
+    for store_dir in (tmp_path / "file" / "store", tmp_path / "link"):
+        code, out, err = run(capsys, "--store-dir", str(store_dir), "lemma1", "xi", "3", "--store")
+        assert (code, out) == (2, "xi(3) = 3\nXi(3) = 259\n")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_independence_failure_exits_1(capsys):
     # overlapping families cannot be written as literals; usage errors stay 2
     code, _, err = run(capsys, "lemma1", "independence", "sets=[{1},{1,2}] a_max=2", "2")

@@ -155,6 +155,30 @@ def test_symmetry_center_matches_oracle():
         assert got == naive_symmetry_center(members, n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10, 31, 64, 1009, 4096, 1 << 14, (1 << 14) - 1])
+def test_symmetry_center_matches_oracle_up_to_n_2_to_the_14(n):
+    # symmetric sets, the same with one member gone, and random sets; at even
+    # n a center c has a twin c + n/2 (2c is the same mod n), the least is kept
+    rng = random.Random(n)
+    size = min(n, 24)
+    for _ in range(6):
+        symmetric = random_symmetric_members(rng, n) if n <= 16 else frozenset(
+            x for a in rng.sample(range(n), size // 2) for x in (a, (2 * n - a) % n)
+        )
+        centered = CyclicSet.from_members(n, symmetric).translate(rng.randrange(n))
+        members = centered.members()
+        for case in (members, members[1:], rng.sample(range(n), rng.randint(1, size))):
+            if not case:
+                continue
+            got = CyclicSet.from_members(n, case).symmetry_center()
+            assert got == naive_symmetry_center(case, n)
+        c = centered.symmetry_center()
+        assert c is not None
+        if n % 2 == 0:
+            assert c < n // 2
+            assert frozenset(members) == frozenset((2 * (c + n // 2) - x) % n for x in members)
+
+
 def test_canonical_examples():
     for n in (3, 5, 9):
         single = CyclicSet.from_members(n, [2 % n])

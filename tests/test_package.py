@@ -15,9 +15,16 @@ import pytest
 import steinset
 from steinset.groups import AffineMap, CyclicSet
 from steinset.haight import HaightWitness, SearchConfig
-from steinset.store import ReverifyReport, StoreRecord
-from steinset.thick import BigInterval, IndependenceResult, ThickFamilySpec
-from steinset.verdicts import HaightSequenceReport, SeqSpec, Verdict
+from steinset.store import ReverifyReport, StoreRecord, canonical_payload
+from steinset.thick import BigInterval, IndependenceResult, ThickFamilySpec, independence_check
+from steinset.values import SteinsetError
+from steinset.verdicts import (
+    HaightSequenceReport,
+    SeqSpec,
+    Verdict,
+    sym_verdict,
+    verify_haight_sequence,
+)
 
 SRC = Path(steinset.__file__).resolve().parent.parent
 
@@ -53,27 +60,54 @@ _ALWAYS = {"steinset", "steinset.cli", "steinset.values"}
 
 
 @pytest.mark.parametrize(
-    "argv,modules",
+    "argv,modules,code",
     [
-        (["sumset", "7:{0,1,3}", "7:{0,2}"], {"groups", "sumsets"}),
+        (["sumset", "7:{0,1,3}", "7:{0,2}"], {"groups", "sumsets"}, 0),
         (["verdict-pm", "cycle=[7:{0,1,3}]", "2", "--store"],
-         {"groups", "sumsets", "verdicts", "store"}),
-        (["lemma1", "xi", "3", "--store"], {"thick", "store"}),
+         {"groups", "sumsets", "verdicts", "store"}, 0),
+        (["lemma1", "xi", "3", "--store"], {"thick", "store"}, 0),
         (["haight", "search", "2", "--n-range", "5..8"],
-         {"groups", "sumsets", "haight", "store"}),
+         {"groups", "sumsets", "haight", "store"}, 0),
+        # a usage error: main's error boundary imports no error class, so
+        # none of store, thick or verdicts
+        (["sumset", "7:{0,1,3}", "nonsense"], {"groups", "sumsets"}, 2),
     ],
-    ids=["sumset", "verdict-pm-store", "lemma1-xi-store", "haight-search"],
+    ids=["sumset", "verdict-pm-store", "lemma1-xi-store", "haight-search", "sumset-usage-error"],
 )
-def test_each_command_imports_only_what_it_runs(tmp_path, argv, modules):
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, modules, code):
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, "--output", "structured", "--store-dir", str(tmp_path), *argv],
         capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0
+    assert result["code"] == code
     assert set(result["added"]) == _ALWAYS | {f"steinset.{m}" for m in modules}
     assert "dataclasses" not in result["added"]
+
+
+@pytest.mark.parametrize(
+    "module,name,base,prefix,trigger",
+    [
+        ("store", "StoreVerificationError", ValueError, "verification failure",
+         lambda: canonical_payload("no-such-kind", {})),
+        ("verdicts", "NotSymmetricError", ValueError, "verification failure",
+         lambda: sym_verdict(SeqSpec.parse("cycle=[7:{0,1,3}]"), 2)),
+        ("verdicts", "WitnessChainError", ValueError, "verification failure",
+         lambda: verify_haight_sequence([HaightWitness(2, CyclicSet(7, 0b1011), 5)])),
+        ("thick", "BudgetExceededError", RuntimeError, "refused",
+         lambda: independence_check(ThickFamilySpec.parse("sets=[{1,4},{2},{3}] a_max=4"), 3, 10)),
+    ],
+    ids=["StoreVerificationError", "NotSymmetricError", "WitnessChainError", "BudgetExceededError"],
+)
+def test_error_classes_keep_module_name_and_builtin_base(module, name, base, prefix, trigger):
+    cls = getattr(sys.modules[f"steinset.{module}"], name)
+    assert (cls.__module__, cls.__name__) == (f"steinset.{module}", name)
+    assert getattr(steinset, name) is cls
+    with pytest.raises(base) as info:
+        trigger()
+    assert type(info.value) is cls and isinstance(info.value, SteinsetError)
+    assert (cls.prefix, cls.exit_status) == (prefix, 1)
 
 
 VALUES = [

@@ -61,6 +61,22 @@ def test_append_idempotent_on_canonical_duplicates(tmp_path):
     assert len(store.path.read_text().splitlines()) == 1
 
 
+def test_append_makes_the_directory_only_when_it_is_missing(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+    monkeypatch.setattr(Path, "mkdir", lambda self, *a, **kw: made.append(self) or mkdir(self, *a, **kw))
+    store = WitnessStore(tmp_path / "a" / "b")
+    store.append(witness_record())
+    assert made[0] == tmp_path / "a" / "b"  # then its missing parent, recursively
+    first = len(made)
+    store.append(make_xi_record(2, created_at=3))
+    WitnessStore(tmp_path / "a" / "b").append(make_xi_record(3, created_at=3))
+    assert len(made) == first
+    lines = store.path.read_text().splitlines()
+    assert lines == [witness_record().to_json_line(), make_xi_record(2, created_at=3).to_json_line(),
+                     make_xi_record(3, created_at=3).to_json_line()]
+
+
 def test_round_trip_across_instances(tmp_path):
     store = WitnessStore(tmp_path)
     store.append(witness_record())
