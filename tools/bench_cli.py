@@ -82,9 +82,6 @@ class _Side:
         argv[argv.index("--store-dir") + 1] = str(self.store_dir)
         return argv
 
-    def run(self, i: int) -> tuple[float, bytes, bytes]:
-        return self.spawn(self.argv(i))
-
     def modules(self, argv: list[str], status: int = 0) -> list[str]:
         """The steinset modules, and dataclasses, that ``argv`` imports."""
         _, _, err = self.spawn(argv, "-X", "importtime", status=status)
@@ -137,7 +134,7 @@ def _session(sides: tuple[_Side, _Side], header: dict) -> dict:
             order = (0, 1) if (rep + i) % 2 == 0 else (1, 0)
             out = [b"", b""]
             for k in order:
-                elapsed, out[k], _ = sides[k].run(i)
+                elapsed, out[k], _ = sides[k].spawn(sides[k].argv(i))
                 times[i][k].append(elapsed)
             if out[0] != out[1]:
                 raise SystemExit(f"{sides[0].session.ops[i]}: output differs before and after")
