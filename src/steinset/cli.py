@@ -507,8 +507,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (SteinsetError, ValueError, OSError) as exc:
-        print(f"{getattr(exc, 'prefix', 'error')}: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_status", 2)
+        prefix, status = (exc.prefix, exc.exit_status) if isinstance(exc, SteinsetError) else ("error", 2)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

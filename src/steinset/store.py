@@ -72,12 +72,25 @@ class StoreRecord(Value):
         set_field(self, "producer", {} if producer is None else producer)
 
     def to_json_line(self) -> str:
-        fields = {f: getattr(self, f) for f in self._fields}
-        return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        return json.dumps(
+            {
+                "kind": self.kind,
+                "payload": self.payload,
+                "created_at": self.created_at,
+                "producer": self.producer,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
 
 
 def _record(kind: str, payload: dict, producer: dict | None, created_at: int | None) -> StoreRecord:
-    return StoreRecord(kind, payload, int(time.time()) if created_at is None else created_at, producer)
+    return StoreRecord(
+        kind=kind,
+        payload=payload,
+        created_at=int(time.time()) if created_at is None else created_at,
+        producer=producer or {},
+    )
 
 
 def _verdict_payload(op: str, spec: SeqSpec, param: Any, verdict: Verdict) -> dict:

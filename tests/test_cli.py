@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from math import floor, log10
+from pathlib import Path
 
 import pytest
 
+import steinset
 from steinset import thick
 from steinset.cli import main, parse_signs
 from steinset.store import StoreRecord
@@ -231,6 +235,23 @@ def test_file_errors_exit_2_with_one_line_and_no_traceback(capsys, tmp_path):
         assert (code, out) == (2, "xi(3) = 3\nXi(3) = 259\n")
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_broken_stdout_pipe_exits_2_with_one_line(tmp_path):
+    # about 150 KB of witness lines, more than a pipe holds, so the CLI is still
+    # writing when the reader closes its end after the first bytes
+    argv = ["--output", "structured", "haight", "search", "2", "--n-range", "3..18", "--no-store"]
+    src = Path(steinset.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steinset.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_independence_failure_exits_1(capsys):
