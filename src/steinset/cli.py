@@ -213,10 +213,8 @@ def cmd_haight_search(args) -> int:
         seed=args.search_seed if args.search_seed is not None else args.seed,
         max_set_size=args.max_set_size,
     )
-    if args.mode == "exhaustive":
-        witnesses = exhaustive_search(search_cfg)
-    else:
-        witnesses = stochastic_search(search_cfg)
+    search = exhaustive_search if args.mode == "exhaustive" else stochastic_search
+    witnesses = search(search_cfg)
     producer = _producer(
         args, mode=args.mode, budget=search_cfg.budget, k=args.k, seed=search_cfg.seed
     )
@@ -283,20 +281,13 @@ def cmd_haight_minimal(args) -> int:
 
     found = minimal_modulus(args.k, args.cap)
     if found is None:
-        emit(
-            args,
-            {"command": "haight-minimal", "k": args.k, "cap": args.cap, "n": None},
-            [f"no witness for k={args.k} with modulus <= {args.cap}"],
-        )
-        return 0
-    n, witness = found
-    producer = _producer(args, mode="exhaustive", k=args.k)
-    _emit_witness_records(args, [witness], producer, store=not args.no_store)
-    emit(
-        args,
-        {"command": "haight-minimal", "k": args.k, "cap": args.cap, "n": n},
-        [f"minimal modulus for k={args.k}: n={n}"],
-    )
+        n, line = None, f"no witness for k={args.k} with modulus <= {args.cap}"
+    else:
+        n, witness = found
+        line = f"minimal modulus for k={args.k}: n={n}"
+        producer = _producer(args, mode="exhaustive", k=args.k)
+        _emit_witness_records(args, [witness], producer, store=not args.no_store)
+    emit(args, {"command": "haight-minimal", "k": args.k, "cap": args.cap, "n": n}, [line])
     return 0
 
 

@@ -18,9 +18,8 @@ set_field = object.__setattr__
 
 
 class SteinsetError(Exception):
-    """A verification failure or a refusal, which ``cli.main`` reports as
-    ``f"{prefix}: {message}"`` on stderr with exit status ``exit_status``.
-    Each subclass also derives from ValueError or RuntimeError."""
+    """A verification failure or a refusal: ``cli.main`` prints ``f"{prefix}: {exc}"``
+    to stderr and exits ``exit_status``.  Each subclass is also a ValueError or RuntimeError."""
 
     exit_status = 1
     prefix = "verification failure"
