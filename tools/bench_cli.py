@@ -19,7 +19,7 @@ file, the usage error to ``BENCH_error_path.json`` in the same directory:
 
     python tools/bench_cli.py REV [--out FILE]
 
-Standard library only; a run takes about two minutes on a 2-vCPU machine.
+Standard library only; a run takes about 35 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
