@@ -95,6 +95,10 @@ def members_of(mask, n):
     return frozenset(r for r in range(n) if mask >> r & 1)
 
 
+def naive_affine_image(a, u, c, n):
+    return frozenset((u * x + c) % n for x in a)
+
+
 def naive_orbit(a, n):
     """Every affine image u*a + c of the set, as frozensets."""
     out = set()

@@ -1,10 +1,14 @@
 import random
+import sys
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinset import groups
 from steinset.groups import (
+    CANONICAL_MAX_MODULUS,
     AffineMap,
     CyclicSet,
     EmptySetError,
@@ -20,6 +24,8 @@ from steinset.groups import (
 from oracles import (
     affine_images_through_zero,
     mask_of,
+    members_of,
+    naive_affine_image,
     naive_mask,
     naive_canonical_mask,
     naive_negate,
@@ -255,6 +261,41 @@ def test_canonical_mask_matches_images_through_zero_up_to_512():
             assert canonical_mask(mask, n) == min(affine_images_through_zero(mask, n)), (n, size)
 
 
+def test_canonical_mask_is_the_least_largest_gap_image():
+    # the stacked images and the per-pair enumeration share no code up to
+    # STACK_MAX_MODULUS, and above it the sorted pairs serve both
+    rng = random.Random(4064)
+    cases = []
+    for _ in range(1500):
+        n = rng.randrange(1, 65)
+        cases.append((n, rng.randrange(1, 1 << n)))
+        cases.append((n, mask_of(rng.sample(range(n), rng.randrange(1, min(n, 4) + 1)), n)))
+    for n in (60, 64, 101, 120, 127):
+        for size in (1, 2, 3, 7, n // 4, n // 2, n - 1, n):
+            for _ in range(4):
+                cases.append((n, mask_of(rng.sample(range(n), size), n)))
+    for n, mask in cases:
+        assert canonical_mask(mask, n) == min(largest_gap_images(mask, n)), (n, mask)
+
+
+def test_unit_stack_tables_stay_under_a_megabyte():
+    def table_bytes(stack):
+        rows = [r for r in stack.rows if r is not None]
+        parts = [stack.units, stack.zeros, stack.bits, stack.rows, *stack.bits, *rows]
+        return sys.getsizeof(stack) + sum(map(sys.getsizeof, parts))
+
+    groups._STACKS.clear()
+    try:
+        for n in range(2, CANONICAL_MAX_MODULUS + 1):
+            # residues 1..64 below n: all rows but one of each table
+            CyclicSet(n, (1 << min(n, 65)) - 2).canonical_form()
+        assert max(groups._STACKS) == groups.STACK_MAX_MODULUS
+        assert all(r is not None for s in groups._STACKS.values() for r in s.rows[1:])
+        assert sum(map(table_bytes, groups._STACKS.values())) <= 1 << 20
+    finally:
+        groups._STACKS.clear()
+
+
 def test_largest_gap_images_are_the_orbit_masks_the_walk_reaches():
     # images through 0 whose wrap-around gap n - max is at least every
     # internal gap: exactly the masks the exhaustive witness walk visits
@@ -288,6 +329,36 @@ def test_deficiency():
     assert CyclicSet.full(7).is_full()
     assert CyclicSet.from_members(7, [0, 1, 2, 3, 4, 6]).deficiency() == [5]
     assert CyclicSet.full(3).deficiency() == []
+
+
+def _dense_cases():
+    """(n, mask) up to n = 2^16: empty, full, and 1, 12, 13, n/2 and n - 1 members,
+    so that both ways of listing members run at small and large n."""
+    rng = random.Random(216)
+    for n in (1, 2, 13, 63, 64, 65, 1000, 4099, 16384, 65536):
+        full = (1 << n) - 1
+        yield n, 0
+        yield n, full
+        for size in {min(n, s) for s in (1, 12, 13, n // 2, n - 1)}:
+            yield n, mask_of(rng.sample(range(n), size), n)
+
+
+def test_members_and_deficiency_match_oracle_on_dense_sets():
+    for n, mask in _dense_cases():
+        a = CyclicSet(n, mask)
+        want = members_of(mask, n)
+        assert a.members() == tuple(sorted(want)), n
+        assert a.deficiency() == sorted(set(range(n)) - want), n
+        assert a.to_literal() == f"{n}:{{{','.join(map(str, sorted(want)))}}}"
+
+
+def test_affine_apply_matches_oracle_on_dense_sets():
+    rng = random.Random(65536)
+    for n, mask in _dense_cases():
+        u = rng.choice([v for v in (1, 3, 5, 7, n - 1) if 0 <= v < n and gcd(v, n) == 1])
+        c = rng.randrange(n)
+        want = naive_affine_image(members_of(mask, n), u, c, n)
+        assert CyclicSet(n, mask).affine_apply(AffineMap(u, c, n)).mask == naive_mask(want, n), n
 
 
 def test_units_and_affine_count():
