@@ -28,9 +28,11 @@ MAX_MODULUS = 1 << 20
 CANONICAL_MAX_MODULUS = 512
 
 # canonical_mask keeps a table of stacked unit images (_UnitStack) per modulus
-# up to this one.  Tables hold one int per residue met; all of them together,
-# every residue at every modulus up to 64, take about 0.5 MB.  Above it the
-# per-residue rows cost more to build than the sorts they replace.
+# up to this one.  A table holds one int per residue met; with every residue
+# met at every modulus up to 64 they take 0.56 MB, and up to 80 they would
+# take 1.2 MB.  Without a table the stacked images cost as much as sorting
+# the unit multiples at n = 128 and more at n = 512, where each of the run
+# search's big-int operations spans 16 KB.
 STACK_MAX_MODULUS = 64
 _STACKS: dict[int, "_UnitStack"] = {}
 
@@ -161,11 +163,24 @@ class _UnitStack:
         self.width = 8 * nbytes
         image_bits = ((1 << 2 * n) - 1).to_bytes(nbytes, "little")
         self.zeros = int.from_bytes(image_bits * len(self.units), "little")
-        self.bits = [(1 << x).to_bytes(nbytes, "little") for x in range(n)]  # one field's x
-        self.rows: list[int | None] = [None] * n
+        self.bits: list[bytes] = []  # one field's x, from the second call on
+        self.rows: list[int | None] = []
 
-    def images(self, members: Iterable[int], n: int) -> int:
-        """The fields of every u*A for A = members."""
+    def images(self, members: tuple[int, ...], n: int) -> int:
+        """The fields of every u*A for A = members.
+
+        The first call builds each u*A, which costs less than building the
+        rows of A's members; later calls keep a row per residue they meet.
+        """
+        nbytes = self.width >> 3
+        if not self.rows:
+            self.rows = [None] * n
+            return int.from_bytes(b"".join([
+                sum(map((1).__lshift__, [u * a % n for a in members])).to_bytes(nbytes, "little")
+                for u in self.units
+            ]), "little")
+        if not self.bits:
+            self.bits = [(1 << x).to_bytes(nbytes, "little") for x in range(n)]
         rows, bits, units = self.rows, self.bits, self.units
         out = 0
         for a in members:
