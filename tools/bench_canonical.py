@@ -41,7 +41,7 @@ from bench_gap_cut import CANONICAL_SETS, _alternate, _canonical, _canonical_gri
 from bench_sumset import ROOT, _extract_revision, _git, _load
 
 ROUNDS = 7  # timed rounds per canonical_form and search case and side
-FIRST_CALLS = 15  # cold first calls per canonical_form case and side
+FIRST_CALLS = 41  # cold first calls per canonical_form case and side
 SEARCH_SEED = 1  # perfbench seed whose stochastic search configs are timed
 STOCHASTIC = ((3, (24, 24), 2500), (2, (22, 24), 700))  # search's (k, n_range, budget)
 NODE_CASES = ((3, 24), (3, 30), (4, 36), (4, 40))
