@@ -22,9 +22,10 @@ from .values import Value, set_field
 # Guard against accidental huge allocations; one bit per residue.
 MAX_MODULUS = 1 << 20
 
-# canonical_form sorts phi(n)/2 unit multiples of A (see canonical_mask), so it
-# gets its own cap.  At n = 512 it takes 0.47 / 1.2 / 7.7 ms on random sets of
-# 8 / 32 / 256 members (CPython 3.11, 2-vCPU x86-64 VM, BENCH_largest_gap.json).
+# Above STACK_MAX_MODULUS canonical_form sorts phi(n)/2 unit multiples of A
+# (see canonical_mask), so it gets its own cap.  At n = 512 it takes 0.39 / 1.3
+# / 7.6 ms on random sets of 8 / 32 / 256 members (CPython 3.11, 2-vCPU x86-64
+# VM, BENCH_canonical_stack.json).
 CANONICAL_MAX_MODULUS = 512
 
 # canonical_mask keeps a table of stacked unit images (_UnitStack) per modulus
