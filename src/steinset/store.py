@@ -19,14 +19,15 @@ the producer fingerprint and timestamp do not participate in identity.
 Sets are serialized as sorted residue arrays and big integers as decimal
 strings, so records are byte-stable.
 
-Opening a store does not parse it.  A line in the exact text that
-``StoreRecord.to_json_line`` writes for the payload and producer fields
-this library uses (so every line the CLI appends) is trusted: its dedup
-key ``kind|<payload json>`` is read off the text, which is the key
-``append`` builds, and the line is parsed only when ``query`` or
-``reverify_all`` first needs the records.  Any other line (reordered keys,
-extra whitespace, a hand edit) is parsed at open and keyed on its payload
-as written.  Trust is not verification: ``reverify_all`` recomputes every
+Opening a store does not parse the lines this library writes.  A line in
+the exact text that ``StoreRecord.to_json_line`` writes for the payload
+and producer fields this library uses (so every line the CLI appends) is
+trusted: its dedup key ``kind|<payload json>`` is read off the text, which
+is the key ``append`` builds.  Any other line (reordered keys, extra
+whitespace, a hand edit) is parsed at open and keyed on its payload as
+written.  The store keeps each record as its line: ``query`` and
+``reverify_all`` parse each line as they reach it and keep only what they
+return.  Trust is not verification: ``reverify_all`` recomputes every
 record, trusted or not, and reports any payload that is not canonical.
 
 Writes are serialized by a thread lock within a process and an exclusive
@@ -262,8 +263,7 @@ class WitnessStore:
         self.directory = Path(directory)
         self.path = self.directory / self.FILENAME
         self._lock = threading.Lock()
-        # a StoreRecord, or the text of a trusted line not parsed yet
-        self._entries: list[StoreRecord | str] = []
+        self._entries: list[str] = []  # each record's line, in position order
         self._positions: dict[str, int] = {}
         self.malformed_lines = 0
         self._read = 0  # bytes of the file keyed so far
@@ -288,13 +288,13 @@ class WitnessStore:
         for lineno, line in enumerate(lines, first):
             m = _CANONICAL_LINE.fullmatch(line)
             if m is not None:
-                entry, key = line, m[1][1:-1] + "|" + m[2]
+                key = m[1][1:-1] + "|" + m[2]
             elif not line.strip():
                 continue
             else:
                 try:
-                    entry = _parse_record(line)
-                    key = _dedup_key(entry.kind, entry.payload)
+                    record = _parse_record(line)
+                    key = _dedup_key(record.kind, record.payload)
                 except (ValueError, KeyError, TypeError) as exc:
                     # imported here: logging costs every process about 0.25 MB
                     import logging
@@ -307,15 +307,7 @@ class WitnessStore:
             if key in self._positions:
                 continue
             self._positions[key] = len(self._entries)
-            self._entries.append(entry)
-
-    def _records(self) -> list[StoreRecord]:
-        """Every record in position order, parsing the trusted lines on first use."""
-        entries = self._entries
-        for i, entry in enumerate(entries):
-            if isinstance(entry, str):
-                entries[i] = _parse_record(entry)
-        return entries
+            self._entries.append(line)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -352,33 +344,34 @@ class WitnessStore:
                     self._load()
                     if key in self._positions:
                         return self._positions[key]
-                if size and os.pread(fd, 1, size - 1) != b"\n":
-                    line = "\n" + line  # end the torn line so it cannot swallow this one
                 data = line.encode("utf-8")
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    data = b"\n" + data  # end the torn line so it cannot swallow this one
                 os.write(fd, data)  # one write call per record
                 self._read = size + len(data)
             finally:
                 os.close(fd)
             self._positions[key] = len(self._entries)
-            self._entries.append(canonical)
+            self._entries.append(line)
             return self._positions[key]
 
     def query(self, kind: str | None = None, **filters: Any) -> list[StoreRecord]:
-        """Records matching kind and payload-field equality, in canonical order."""
+        """Records matching kind and payload-field equality, in (kind, dedup key) order."""
         out = []
-        for record in self._records():
+        for key, position in self._positions.items():
+            record = _parse_record(self._entries[position])
             if kind is not None and record.kind != kind:
                 continue
             if all(record.payload.get(k) == v for k, v in filters.items()):
-                out.append(record)
-        out.sort(key=lambda r: (r.kind, _dedup_key(r.kind, r.payload)))
-        return out
+                out.append((record.kind, key, record))
+        out.sort(key=lambda t: (t[0], t[1]))
+        return [record for _, _, record in out]
 
     def reverify_all(self) -> ReverifyReport:
         """Recompute every payload's verification; report corrupted records."""
-        records = self._records()
         failures: list[tuple[int, str]] = []
-        for position, record in enumerate(records):
+        for position, line in enumerate(self._entries):
+            record = _parse_record(line)
             try:
                 recomputed = canonical_payload(record.kind, record.payload)
             except StoreVerificationError as exc:
@@ -389,8 +382,8 @@ class WitnessStore:
                     (position, f"stored payload is not canonical: {record.payload}")
                 )
         return ReverifyReport(
-            total=len(records),
-            ok=len(records) - len(failures),
+            total=len(self._entries),
+            ok=len(self._entries) - len(failures),
             failures=failures,
             malformed_lines=self.malformed_lines,
         )

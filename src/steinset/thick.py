@@ -48,8 +48,9 @@ DEFAULT_A_MAX = 5
 MAX_INDEX = 20  # largest index a spec accepts
 DEFAULT_TUPLE_CAP = 10_000_000
 
-_SPEC_RE = re.compile(r"^\s*sets=\[(?P<sets>.*)\]\s+a_max=(?P<amax>\d+)\s*$")
-_SET_RE = re.compile(r"\{[^{}]*\}")
+_SET = r"\{[^{}]*\}"  # one set literal; a spec's sets are these, comma-separated
+_SET_RE = re.compile(_SET)
+_SPEC_RE = re.compile(rf"^\s*sets=\[(?P<sets>\s*{_SET}(?:\s*,\s*{_SET})*\s*)\]\s+a_max=(?P<amax>\d+)\s*$")
 
 
 class BudgetExceededError(SteinsetError, RuntimeError):

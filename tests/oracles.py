@@ -232,7 +232,7 @@ class EagerWitnessStore(WitnessStore):
 
     This is the keying the store had before it read dedup keys off the
     text of canonical lines: json.loads on each line, keyed on the payload
-    re-serialized with sorted keys, every record built when it is read.
+    re-serialized with sorted keys.  Like the store, it keeps each line.
     """
 
     def _add_lines(self, lines):
@@ -258,7 +258,7 @@ class EagerWitnessStore(WitnessStore):
             if key in self._positions:
                 continue
             self._positions[key] = len(self._entries)
-            self._entries.append(record)
+            self._entries.append(line)
 
 
 def reference_pm_verdict(spec, m):

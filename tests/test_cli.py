@@ -102,6 +102,14 @@ def test_lemma1_intervals_refuses_towers_too_long_to_print(capsys, monkeypatch):
     assert code == 0 and objs[0]["sets"][0][0]["a"] == a - 1
 
 
+@pytest.mark.parametrize("spec", ["sets=[{1},junk{2}] a_max=2", "sets=[{1}{2}] a_max=2",
+                                  "sets=[{1},,{2}] a_max=3"])
+def test_lemma1_intervals_refuses_text_between_sets(capsys, spec):
+    code, out, err = run(capsys, "lemma1", "intervals", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: malformed thick family spec: {spec!r}\n"
+
+
 def test_lemma1_independence_refuses_indices_above_the_bound(capsys, monkeypatch):
     monkeypatch.setattr(thick, "power_tower", lambda i: pytest.fail(f"tower {i} built"))
     code, out, err = run(capsys, "lemma1", "independence", "sets=[{40}] a_max=40", "1")

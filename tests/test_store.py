@@ -112,6 +112,19 @@ def test_query_order_independent_of_file_order(tmp_path):
     assert pa == pb
 
 
+def test_query_orders_by_kind_then_key(tmp_path):
+    # hand-edited kinds, one a prefix of the other: on the raw key
+    # "kind|payload", "xa|..." sorts before "x|..." since "a" < "|"
+    _write_records(tmp_path, [
+        StoreRecord(kind="xa", payload={"m": 1}, created_at=0),
+        StoreRecord(kind="x", payload={"m": 2}, created_at=0),
+        StoreRecord(kind="x", payload={"m": 10}, created_at=0),
+    ])
+    store = WitnessStore(tmp_path)
+    assert [(r.kind, r.payload["m"]) for r in store.query()] == [("x", 10), ("x", 2), ("xa", 1)]
+    assert [r.payload["m"] for r in store.query("x")] == [10, 2]
+
+
 def test_verdict_record_rejected_on_outcome_mismatch(tmp_path):
     store = WitnessStore(tmp_path)
     spec = SeqSpec.parse("cycle=[7:{0,1,6}]")
@@ -308,7 +321,7 @@ def _assert_same_store(lazy, eager):
     assert lazy._positions == eager._positions
     assert lazy.query() == eager.query()
     assert lazy.query("xi", xi=3) == eager.query("xi", xi=3)
-    assert lazy._records() == eager._records()
+    assert lazy._entries == eager._entries
     assert lazy.reverify_all() == eager.reverify_all()
 
 

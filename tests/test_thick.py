@@ -94,6 +94,18 @@ def test_spec_parse_round_trip():
         ThickFamilySpec.parse("sets=[] a_max=3")
     with pytest.raises(ValueError):
         ThickFamilySpec.parse("sets=[{}] a_max=3")
+    spaced = ThickFamilySpec.parse("sets=[ {1, 4} , {2,5} ] a_max=5")
+    assert spaced.index_sets == spec.index_sets
+
+
+# text between the set literals, each of which once parsed as two sets
+JUNK_SPECS = ["sets=[{1},junk{2}] a_max=2", "sets=[{1}{2}] a_max=2", "sets=[{1},,{2}] a_max=3"]
+
+
+@pytest.mark.parametrize("text", JUNK_SPECS)
+def test_spec_parse_refuses_text_between_sets(text):
+    with pytest.raises(ValueError, match="malformed thick family spec"):
+        ThickFamilySpec.parse(text)
 
 
 def test_thick_intervals_disjoint_increasing():

@@ -1,21 +1,31 @@
 """L5 benchmark of the CLI as a process, before and after a change.
 
 Spawns every command of the ``session`` workload's script (perfbench,
-full scale, seed SEED) as its own ``python -B -m steinset.cli`` process,
-once with the source of a given git revision (the base of the change) and
-once with ``src/`` of the working tree.  Each side runs the script in
-order against its own copy of the pre-filled store, followed by one usage
-error, ERROR_ARGV, that must exit 2; the two sides alternate command by
-command, so drift in machine speed hits both alike.  ``-B`` keeps children
-from writing bytecode, so every process compiles the modules it imports,
-as when the package runs from a fresh checkout.
+full scale, seed SEED) as its own ``python -B`` process that runs
+``steinset.cli`` as ``-m`` would, once with the source of a given git
+revision (the base of the change) and once with ``src/`` of the working
+tree.  Each side runs the script in order against its own copy of the
+pre-filled store, followed by one usage error, ERROR_ARGV, that must exit
+2; the two sides alternate command by command, so drift in machine speed
+hits both alike.  ``-B`` keeps children from writing bytecode, so every
+process compiles the modules it imports, as when the package runs from a
+fresh checkout.
 
-For every command it records the median wall time over REPS spawns a side,
-from spawn to exit, and the ``steinset`` modules (and ``dataclasses``, if
-imported) that the command loaded on each side (``steinset.cli`` itself
-runs as ``__main__`` and is not listed), and checks that both sides print
-the same bytes to stdout and stderr.  The session commands go to one JSON
-file, the usage error to ``BENCH_error_path.json`` in the same directory:
+For every command it records, on each side:
+
+* the median wall time over REPS spawns, from spawn to exit;
+* the median of the process's own peak resident memory, ``VmHWM`` from
+  ``/proc/self/status``, which the child's bootstrap BOOT writes to a file
+  at exit.  ``ru_maxrss`` from ``wait4`` would not do: ``subprocess``
+  starts children with vfork, so a child's ``ru_maxrss`` includes the
+  peak of this tool, its parent;
+* the ``steinset`` modules (and ``dataclasses``, if imported) that the
+  command loaded (``steinset.cli`` itself runs as ``__main__`` and is not
+  listed).
+
+It checks that both sides print the same bytes to stdout and stderr.  The
+session commands go to one JSON file, the usage error to
+``BENCH_error_path.json`` in the same directory:
 
     python tools/bench_cli.py REV [--out FILE]
 
@@ -42,6 +52,21 @@ SEED = 11  # session script and pre-fill seed
 REPS = 7  # timed spawns per command and side
 ERROR_ARGV = ["sumset", "7:{0,1,3}", "nonsense"]  # a usage error: exit status 2
 
+# Runs the CLI as ``-m steinset.cli`` would, then, at exit, writes the
+# process's own peak RSS in KiB to the file named by its first argument.
+BOOT = """
+import atexit, runpy, sys
+
+def write_peak(path):
+    with open("/proc/self/status") as status:
+        kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    with open(path, "w") as out:
+        out.write(kib)
+
+atexit.register(write_peak, sys.argv.pop(1))
+runpy.run_module("steinset.cli", run_name="__main__", alter_sys=True)
+"""
+
 
 class _Side:
     """One copy of the library and the store its commands run against."""
@@ -49,6 +74,7 @@ class _Side:
     def __init__(self, src: Path, store_dir: Path, session):
         self.env = dict(os.environ, PYTHONPATH=str(src))
         self.store_dir = store_dir
+        self.peak_file = store_dir.with_name(store_dir.name + ".peak")
         self.session = session
 
     def reset_store(self) -> None:
@@ -64,24 +90,27 @@ class _Side:
         argv[argv.index("--store-dir") + 1] = str(self.store_dir)
         return argv
 
-    def run(self, i: int, *flags: str) -> tuple[float, bytes, bytes]:
-        """Command ``i``, which must exit 0 (2 for ERROR_ARGV): (wall seconds, stdout, stderr)."""
+    def run(self, i: int, *flags: str) -> tuple[float, float, bytes, bytes]:
+        """Command ``i``, which must exit 0 (2 for ERROR_ARGV): (wall seconds,
+        its own peak RSS in MB, stdout, stderr)."""
         argv = self.argv(i)
         status = 2 if i == len(self.session.ops) else 0
+        self.peak_file.unlink(missing_ok=True)  # a child that writes none fails below
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-B", *flags, "-m", "steinset.cli", *argv],
+            [sys.executable, "-B", *flags, "-c", BOOT, str(self.peak_file), *argv],
             capture_output=True, stdin=subprocess.DEVNULL, cwd=self.session.workdir, env=self.env,
         )
         elapsed = time.perf_counter() - start
         if proc.returncode != status:
             raise SystemExit(f"{argv}: exit code {proc.returncode}, expected {status}: "
                              f"{proc.stderr.decode()[-300:]}")
-        return elapsed, proc.stdout, proc.stderr
+        peak_mb = int(self.peak_file.read_text()) / 1024
+        return elapsed, peak_mb, proc.stdout, proc.stderr
 
     def modules(self, i: int) -> list[str]:
         """The steinset modules, and dataclasses, that command ``i`` imports."""
-        _, _, err = self.run(i, "-X", "importtime")
+        *_, err = self.run(i, "-X", "importtime")
         names = {line.rsplit("|", 1)[-1].strip() for line in err.decode().splitlines()
                  if line.startswith("import time:")}
         return sorted(n for n in names if n.startswith("steinset") or n == "dataclasses")
@@ -110,6 +139,7 @@ def main() -> None:
             side.reset_store()
             modules[k].extend(side.modules(i) for i in range(count))
         times: list[tuple[list[float], list[float]]] = [([], []) for _ in range(count)]
+        peaks: list[tuple[list[float], list[float]]] = [([], []) for _ in range(count)]
         for rep in range(REPS):
             for side in sides:
                 side.reset_store()
@@ -117,8 +147,9 @@ def main() -> None:
                 order = (0, 1) if (rep + i) % 2 == 0 else (1, 0)
                 out = [(b"", b""), (b"", b"")]
                 for k in order:
-                    elapsed, *out[k] = sides[k].run(i)
+                    elapsed, peak, *out[k] = sides[k].run(i)
                     times[i][k].append(elapsed)
+                    peaks[i][k].append(peak)
                 if out[0] != out[1]:
                     raise SystemExit(f"{labels[i]}: output differs before and after")
         error_stderr = out[0][1]  # of the last command, ERROR_ARGV
@@ -131,15 +162,19 @@ def main() -> None:
     commands = []
     for i, label in enumerate(labels):
         before_ms, after_ms = (round(statistics.median(t) * 1e3, 1) for t in times[i])
+        before_mb, after_mb = (round(statistics.median(p), 2) for p in peaks[i])
         commands.append({
             "command": label,
             "median_ms_before": before_ms,
             "median_ms_after": after_ms,
             "ratio": round(after_ms / before_ms, 3),
+            "peak_rss_mb_before": before_mb,
+            "peak_rss_mb_after": after_mb,
             "modules_before": modules[0][i],
             "modules_after": modules[1][i],
         })
         print(f"{label:<28} {before_ms:>8.1f} -> {after_ms:>8.1f} ms  "
+              f"{before_mb:>6.2f} -> {after_mb:>6.2f} MB  "
               f"{len(modules[0][i])} -> {len(modules[1][i])} modules", flush=True)
     error = commands.pop()
     total_before = round(sum(c["median_ms_before"] for c in commands), 1)
