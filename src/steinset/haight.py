@@ -11,9 +11,10 @@ from {0} and adds residues in increasing order, so each mask is reached
 once, and it walks only the sets whose wrap-around gap n - max(A) is one
 of their largest cyclic gaps: every non-empty set has such a translate
 through 0, and every prefix of one is another (see _scan_modulus).  The
-levels 1A..kA, -A and A - A are updated incrementally as residues are
-added.  Adding elements only grows kA, so a subtree is cut as soon as kA
-is full, or once |A| reaches max_set_size.
+levels 2A..kA (1A is the mask), -A and A - A are updated incrementally as
+residues are added, the last two only until A - A is full, as it then is
+in the whole subtree.  Adding elements only grows kA, so a subtree is cut
+as soon as kA is full, or once |A| reaches max_set_size.
 
 Exhaustive search walks every node.  The first witness mask met in an
 affine class marks the class's masks that the walk can reach
@@ -245,24 +246,27 @@ def _scan_modulus(
     if n == 1:
         return []  # Z_1 has only the full subset, never a witness
     full = (1 << n) - 1
-    cap = n if max_set_size is None else max_set_size
     seen: set[int] = set()
     reps: set[int] = set()
-    # node: A, -A, A - A, levels (1A, ..., kA), max(A), largest internal gap
-    stack = [(1, 1, 1, (1,) * k, 0, 0)]
+    # node: A (= 1A), -A, A - A, levels (2A, ..., kA), max(A), largest
+    # internal gap; -A is stale once A - A is full, which no child needs
+    stack = [(1, 1, 1, (1,) * (k - 1), 0, 0)]
+    push = stack.append
     while stack:
         a, neg, diff, levels, last, gap = stack.pop()
-        if a.bit_count() >= cap:
+        # a node of n members is Z_n, which the kA-full cut has removed
+        if max_set_size is not None and a.bit_count() >= max_set_size:
             continue
         # a child x keeps its new gaps x - last and gap within n - x
-        xs = range(last + 1, min(n - gap, (n + last) // 2) + 1)
+        hi = min(n - gap, (n + last) // 2)
         if rng is not None:
-            xs = xs[:budget]
-            budget -= len(xs)
+            if hi - last > budget:
+                hi = last + budget
+            budget -= hi - last
             top = len(stack)
-        for x in xs:
+        for x in range(last + 1, hi + 1):
             y = n - x  # -x mod n; rotating by x and by y are inverse
-            prev = 1
+            b = prev = a | 1 << x
             grown = []
             for level in levels:
                 # with B = A | {x}: jB = jA | ((j-1)B + x)
@@ -270,10 +274,12 @@ def _scan_modulus(
                 grown.append(prev)
             if prev == full:
                 continue  # kA full here and in every superset
-            b = a | (1 << x)
-            nb = neg | (1 << y)
-            # B - B = (A - A) | (B - x) | (x - B)
-            d = diff | (((b << y) | (b >> x)) & full) | (((nb << x) | (nb >> y)) & full)
+            if diff == full:
+                nb, d = neg, full  # B - B holds A - A
+            else:
+                nb = neg | 1 << y
+                # B - B = (A - A) | (B - x) | (x - B)
+                d = diff | (((b << y) | (b >> x)) & full) | (((nb << x) | (nb >> y)) & full)
             if d == full and b not in seen:
                 if rng is None:
                     # mark every mask of the class that the walk can reach
@@ -282,16 +288,19 @@ def _scan_modulus(
                     reps.add(min(images))
                 else:  # a sampled class is rarely met twice
                     reps.add(canonical_mask(b, n))
-            stack.append((b, nb, d, tuple(grown), x, max(gap, x - last)))
+            push((b, nb, d, tuple(grown), x, x - last if x - last > gap else gap))
         if rng is not None:
             if not budget:
                 break
-            kids = stack[top:]
-            coins = rng.bits(len(kids))
-            # the stack pops its last entry first: set coins, then the
-            # rest, each group smallest residue first
-            order = sorted(range(len(kids)), key=lambda i: (coins >> i & 1, -i))
-            stack[top:] = [kids[i] for i in order]
+            width = len(stack) - top
+            if width:
+                coins = rng.bits(width)
+                if width > 1:
+                    # the stack pops its last entry first: set coins, then
+                    # the rest, each group smallest residue first
+                    kids = stack[top:]
+                    order = sorted(range(width), key=lambda i: (coins >> i & 1, -i))
+                    stack[top:] = [kids[i] for i in order]
     return [canonical_witness(k, CyclicSet(n, m)) for m in sorted(reps)]
 
 

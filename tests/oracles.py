@@ -10,8 +10,10 @@ its candidates from the divisor roots {0, d} rather than the walk's
 largest-gap translates, and canonicalizing with all n*phi(n) affine
 maps, with haight_class_mask its per-mask test for ranges too large to
 list; affine_images_through_zero, every image of a mask through 0, for
-groups.canonical_mask and largest_gap_images; and EagerWitnessStore for
-the store's open, which parses every line.
+groups.canonical_mask and largest_gap_images; reference_scan_masks, the
+walk in its first form (full levels 1A..kA, B - B for every child, a
+sorted coin order), for the walk's shortcuts, coin stream and budget;
+and EagerWitnessStore for the store's open, which parses every line.
 reference_pm_verdict tests every sign-count class at every cycle entry
 with the naive signed products here.  naive_covered_tuples counts the
 tuples a thick-set independence check covers point by point.
@@ -21,7 +23,7 @@ import json
 from itertools import combinations
 from math import gcd, prod
 
-from steinset.groups import CyclicSet
+from steinset.groups import CyclicSet, canonical_mask, largest_gap_images
 from steinset.store import StoreRecord, WitnessStore
 from steinset.sumsets import iterated_sumset, signed_product_counts
 from steinset.thick import xi_sequence
@@ -213,6 +215,63 @@ def scan_haight_class_masks(n, k, max_set_size=None):
     found = {haight_class_mask(mask, n, k, max_set_size) for mask in candidate_masks(n)}
     found.discard(None)
     return sorted(found)
+
+
+def reference_scan_masks(n, k, max_set_size, rng=None, budget=0):
+    """Canonical masks of haight._scan_modulus, by its first form: every
+    node carries its full levels 1A..kA, B - B is built for every child,
+    and the seeded order sorts each node's children by coin and residue.
+
+    The differential reference for the walk's fast path: the same nodes,
+    coin draws and budget accounting, without its shortcuts (1A taken
+    from the mask, B - B skipped under a full A - A, no sort for fewer
+    than two children, the size test made only under a cap).
+    """
+    if n == 1:
+        return []
+    full = (1 << n) - 1
+    cap = n if max_set_size is None else max_set_size
+    seen = set()
+    reps = set()
+    # node: A, -A, A - A, levels (1A, ..., kA), max(A), largest internal gap
+    stack = [(1, 1, 1, (1,) * k, 0, 0)]
+    while stack:
+        a, neg, diff, levels, last, gap = stack.pop()
+        if a.bit_count() >= cap:
+            continue
+        xs = range(last + 1, min(n - gap, (n + last) // 2) + 1)
+        if rng is not None:
+            xs = xs[:budget]
+            budget -= len(xs)
+            top = len(stack)
+        for x in xs:
+            y = n - x
+            prev = 1
+            grown = []
+            for level in levels:
+                prev = level | (((prev << x) | (prev >> y)) & full)
+                grown.append(prev)
+            if prev == full:
+                continue
+            b = a | (1 << x)
+            nb = neg | (1 << y)
+            d = diff | (((b << y) | (b >> x)) & full) | (((nb << x) | (nb >> y)) & full)
+            if d == full and b not in seen:
+                if rng is None:
+                    images = largest_gap_images(b, n)
+                    seen.update(images)
+                    reps.add(min(images))
+                else:
+                    reps.add(canonical_mask(b, n))
+            stack.append((b, nb, d, tuple(grown), x, max(gap, x - last)))
+        if rng is not None:
+            if not budget:
+                break
+            kids = stack[top:]
+            coins = rng.bits(len(kids))
+            order = sorted(range(len(kids)), key=lambda i: (coins >> i & 1, -i))
+            stack[top:] = [kids[i] for i in order]
+    return sorted(reps)
 
 
 def random_nonempty_members(rng, n):

@@ -29,6 +29,7 @@ from oracles import (
     naive_orbit,
     naive_sumset,
     random_nonempty_members,
+    reference_scan_masks,
     scan_haight_class_masks,
 )
 
@@ -177,8 +178,12 @@ def test_order_2_class_counts():
 def test_order_3_class_counts():
     # golden data, past the reach of the full candidate scan; an earlier
     # walk rooted at {0, d} for the divisors d of n gave the same lists
-    counts = {n: len(_class_masks(3, n)) for n in range(24, 31)}
-    assert counts == {24: 1, 25: 0, 26: 0, 27: 0, 28: 2, 29: 2, 30: 18}
+    counts = {n: len(_class_masks(3, n)) for n in range(20, 31)}
+    assert counts == {n: 0 for n in range(20, 31)} | {24: 1, 28: 2, 29: 2, 30: 18}
+
+
+def test_no_order_4_witness_up_to_36():
+    assert minimal_modulus(4, 36) is None
 
 
 def _wrap_gap_is_largest(members, n):
@@ -220,6 +225,25 @@ def test_walk_child_rule_reaches_every_mask_with_largest_wrap_gap():
             for mask in range(1, (1 << n) - 1, 2)  # through 0, not full
         )
         assert 1 + sum(rng.widths) == want, n
+
+
+def test_walk_matches_its_reference_form():
+    # random walks in both modes against the walk's first form: the same
+    # classes and the same rng state after the walk, so the same coins
+    rng = random.Random(19)
+    for _ in range(150):
+        k, n = rng.randint(1, 4), rng.randint(1, 30)
+        seed, budget = rng.getrandbits(64), rng.randint(0, 3000)
+        size = rng.choice([None, 3, 5, 7])
+        case = (k, n, seed, budget, size)
+        walks = [Xorshift64Star(seed) for _ in range(2)]
+        found = haight._scan_modulus(n, k, size, walks[0], budget)
+        want = reference_scan_masks(n, k, size, walks[1], budget)
+        assert [w.subset.mask for w in found] == want, case
+        assert walks[0].state == walks[1].state, case
+        if n <= 20:
+            found = haight._scan_modulus(n, k, size)
+            assert [w.subset.mask for w in found] == reference_scan_masks(n, k, size), case
 
 
 def test_exhaustive_walk_marks_each_class_once(monkeypatch):
