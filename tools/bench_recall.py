@@ -16,6 +16,8 @@ each side, and the classes the working tree finds at the base's budget:
 
     python tools/bench_recall.py REV [--out FILE]
 
+The record's label is the output file's name without ``BENCH_``.
+
 Standard library only.  A full run takes several minutes on a 2-vCPU
 machine.
 """
@@ -127,7 +129,7 @@ def main() -> None:
                        "after_at_least_before": after_sum >= before_sum,
                        "classes_after_same_budget": sum(c["classes_after_same_budget"] for c in mine)})
     record = {
-        "label": "stochastic_recall",
+        "label": Path(args.out).stem.removeprefix("BENCH_"),
         "layer": "L3 haight.stochastic_search",
         "git_sha_before": before_sha,
         "git_sha_after": _git("rev-parse", "HEAD").decode().strip(),
