@@ -11,7 +11,7 @@ largest-gap translates, and canonicalizing with all n*phi(n) affine
 maps, with haight_class_mask its per-mask test for ranges too large to
 list; affine_images_through_zero, every image of a mask through 0, for
 groups.canonical_mask and largest_gap_images; reference_scan_masks, the
-walk in its first form (full levels 1A..kA, B - B for every child, a
+walk in its earlier form (full levels 1A..kA, B - B for every child, a
 sorted coin order), for the walk's shortcuts, coin stream and budget;
 and EagerWitnessStore for the store's open, which parses every line.
 reference_pm_verdict tests every sign-count class at every cycle entry
@@ -218,7 +218,7 @@ def scan_haight_class_masks(n, k, max_set_size=None):
 
 
 def reference_scan_masks(n, k, max_set_size, rng=None, budget=0):
-    """Canonical masks of haight._scan_modulus, by its first form: every
+    """Canonical masks of haight._scan_modulus, by its earlier form: every
     node carries its full levels 1A..kA, B - B is built for every child,
     and the seeded order sorts each node's children by coin and residue.
 

@@ -228,7 +228,7 @@ def test_walk_child_rule_reaches_every_mask_with_largest_wrap_gap():
 
 
 def test_walk_matches_its_reference_form():
-    # random walks in both modes against the walk's first form: the same
+    # random walks in both modes against the walk's earlier form: the same
     # classes and the same rng state after the walk, so the same coins
     rng = random.Random(19)
     for _ in range(150):
@@ -236,11 +236,11 @@ def test_walk_matches_its_reference_form():
         seed, budget = rng.getrandbits(64), rng.randint(0, 3000)
         size = rng.choice([None, 3, 5, 7])
         case = (k, n, seed, budget, size)
-        walks = [Xorshift64Star(seed) for _ in range(2)]
-        found = haight._scan_modulus(n, k, size, walks[0], budget)
-        want = reference_scan_masks(n, k, size, walks[1], budget)
+        streams = [Xorshift64Star(seed) for _ in range(2)]
+        found = haight._scan_modulus(n, k, size, streams[0], budget)
+        want = reference_scan_masks(n, k, size, streams[1], budget)
         assert [w.subset.mask for w in found] == want, case
-        assert walks[0].state == walks[1].state, case
+        assert streams[0].state == streams[1].state, case
         if n <= 20:
             found = haight._scan_modulus(n, k, size)
             assert [w.subset.mask for w in found] == reference_scan_masks(n, k, size), case
