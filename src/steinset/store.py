@@ -36,7 +36,7 @@ keys the lines other stores wrote since this one last read the file, so
 duplicates and the returned position are decided against the whole file.
 Each record is one write call, preceded by a newline if the file does not
 end in one (a crash left its last line unterminated), so a torn line stays
-one malformed line.
+one malformed line, as does a line that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -275,7 +275,9 @@ class WitnessStore:
         try:
             with self.path.open("rb") as fh:
                 fh.seek(self._read)
-                lines = fh.read().decode("utf-8").splitlines(keepends=True)
+                # a byte that is not UTF-8 becomes a lone surrogate, so it
+                # spoils its own line only (see _add_lines)
+                lines = fh.read().decode("utf-8", "surrogateescape").splitlines(keepends=True)
                 self._read = fh.tell()
         except FileNotFoundError:
             return
@@ -293,6 +295,7 @@ class WitnessStore:
                 continue
             else:
                 try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                     record = _parse_record(line)
                     key = _dedup_key(record.kind, record.payload)
                 except (ValueError, KeyError, TypeError) as exc:

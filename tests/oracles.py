@@ -292,6 +292,8 @@ class EagerWitnessStore(WitnessStore):
     This is the keying the store had before it read dedup keys off the
     text of canonical lines: json.loads on each line, keyed on the payload
     re-serialized with sorted keys.  Like the store, it keeps each line.
+    A line holding a byte that is not UTF-8 (a lone surrogate after the
+    store's decode) fails json.loads on its strict encoding.
     """
 
     def _add_lines(self, lines):
@@ -299,7 +301,7 @@ class EagerWitnessStore(WitnessStore):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.encode("utf-8"))
                 if not isinstance(obj["payload"], dict):
                     raise TypeError("payload is not an object")
                 record = StoreRecord(

@@ -383,6 +383,21 @@ def test_store_reverify_reports_bad_payloads_without_traceback(capsys, tmp_path)
         assert f"  position {position}: " in out
 
 
+def test_store_with_a_line_that_is_not_utf8_opens(capsys, tmp_path):
+    path = tmp_path / "records.jsonl"
+    assert run(capsys, "--store-dir", str(tmp_path), "lemma1", "xi", "2", "--store")[0] == 0
+    with path.open("ab") as fh:
+        fh.write(b"garbage \xff line\n")
+    code, out, err = run(capsys, "--store-dir", str(tmp_path), "store", "reverify")
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert "records: 1, verified: 1, failures: 0, malformed lines: 1" in out
+    assert run(capsys, "--store-dir", str(tmp_path), "lemma1", "xi", "3", "--store")[0] == 0
+    lines = path.read_bytes().splitlines()
+    assert len(lines) == 3 and lines[1] == b"garbage \xff line"
+    assert json.loads(lines[2])["payload"]["m"] == 3
+
+
 # Golden bytes of the four set commands, recorded while each had its own
 # handler: (argv, table output, structured output line)
 GOLDEN_SET_OUTPUT = [

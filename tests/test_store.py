@@ -350,6 +350,35 @@ def test_lazy_open_matches_the_eager_loader(tmp_path, tail):
     _assert_same_store(WitnessStore(tmp_path / "lazy"), EagerWitnessStore(tmp_path / "eager"))
 
 
+def test_a_line_that_is_not_utf8_is_one_malformed_line(tmp_path):
+    lines = [
+        make_xi_record(3, created_at=0).to_json_line().encode(),
+        # well-formed JSON but for one byte inside a string
+        make_xi_record(4, created_at=0, producer={"note": "x"}).to_json_line().encode()
+        .replace(b'"x"', b'"\xff"'),
+        b"garbage \xff\xfe line",
+        "{\"created_at\":0,\"kind\":\"xi\",\"payload\":{\"Xi\":\"18\",\"m\":1,\"xi\":2},"
+        "\"producer\":{\"note\":\"\u00e9\"}}".encode(),  # UTF-8 outside ASCII is kept
+    ]
+    data = b"\n".join(lines) + b"\n"
+    for name in ("lazy", "eager"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / WitnessStore.FILENAME).write_bytes(data)
+    lazy, eager = WitnessStore(tmp_path / "lazy"), EagerWitnessStore(tmp_path / "eager")
+    assert len(lazy) == 2 and lazy.malformed_lines == 2
+    assert lazy._read == len(data)
+    report = lazy.reverify_all()
+    assert (report.total, report.ok, report.failures) == (2, 2, [])
+    _assert_same_store(lazy, eager)
+    for store in (lazy, eager):
+        assert store.append(make_xi_record(3, created_at=9)) == 0  # a duplicate
+        assert store.append(make_xi_record(4, created_at=9)) == 2
+    written = (tmp_path / "lazy" / WitnessStore.FILENAME).read_bytes()
+    assert written.startswith(data)  # the bad lines stay as they were
+    assert written == (tmp_path / "eager" / WitnessStore.FILENAME).read_bytes()
+    _assert_same_store(WitnessStore(tmp_path / "lazy"), EagerWitnessStore(tmp_path / "eager"))
+
+
 # every store-writing command, covering each producer and payload shape
 _STORE_WRITERS = [
     ("haight", "minimal", "2", "--cap", "10"),  # producer: mode, k, no budget
