@@ -155,35 +155,24 @@ class _UnitStack:
     and holds u*a in row a, so OR-ing the rows of A's members gives every
     u*A at once.  A field has room for the image, a copy of it n bits
     higher (so every cyclic gap shows as a run of zeros) and guard bits;
-    ``zeros`` has the 2n image and copy bits of every field set.
+    ``zeros`` has the 2n image and copy bits of every field set.  A row is
+    built from ``bits``, one field's x per residue x, when a call first
+    meets its residue.
     """
 
     __slots__ = ("units", "width", "zeros", "bits", "rows")
 
     def __init__(self, n: int) -> None:
-        self.units = [u for u in range(1, n // 2 + 1) if gcd(u, n) == 1]
+        self.units = [u for u in units(n) if 2 * u <= n]
         nbytes = (2 * n + 8) >> 3  # at least one guard bit
         self.width = 8 * nbytes
         image_bits = ((1 << 2 * n) - 1).to_bytes(nbytes, "little")
         self.zeros = int.from_bytes(image_bits * len(self.units), "little")
-        self.bits: list[bytes] = []  # one field's x, from the second call on
-        self.rows: list[int | None] = []
+        self.bits = [(1 << x).to_bytes(nbytes, "little") for x in range(n)]
+        self.rows: list[int | None] = [None] * n
 
     def images(self, members: tuple[int, ...], n: int) -> int:
-        """The fields of every u*A for A = members.
-
-        The first call builds each u*A, which costs less than building the
-        rows of A's members; later calls keep a row per residue they meet.
-        """
-        nbytes = self.width >> 3
-        if not self.rows:
-            self.rows = [None] * n
-            return int.from_bytes(b"".join([
-                sum(map((1).__lshift__, [u * a % n for a in members])).to_bytes(nbytes, "little")
-                for u in self.units
-            ]), "little")
-        if not self.bits:
-            self.bits = [(1 << x).to_bytes(nbytes, "little") for x in range(n)]
+        """The fields of every u*A for A = members."""
         rows, bits, units = self.rows, self.bits, self.units
         out = 0
         for a in members:

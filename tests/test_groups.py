@@ -287,8 +287,7 @@ def test_unit_stack_tables_stay_under_a_megabyte():
     groups._STACKS.clear()
     try:
         for n in range(2, CANONICAL_MAX_MODULUS + 1):
-            # a modulus's first call keeps no rows; the next two meet every
-            # residue below min(n, 64)
+            # the calls meet every residue below min(n, 64)
             low = min(n, 64)
             for mask in ((1 << low) - 2, (1 << low) - 2, (1 << (low - 1)) - 1):
                 CyclicSet(n, mask).canonical_form()

@@ -2,11 +2,19 @@ import gc
 import random
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from steinset import haight
-from steinset.groups import CANONICAL_MAX_MODULUS, AffineMap, CyclicSet, largest_gap_images
+from steinset.groups import (
+    CANONICAL_MAX_MODULUS,
+    AffineMap,
+    CyclicSet,
+    canonical_mask,
+    largest_gap_images,
+    negate_mask,
+)
 from steinset.haight import (
     EXHAUSTIVE_CAP,
     HaightWitness,
@@ -18,7 +26,7 @@ from steinset.haight import (
     stochastic_search,
     verify_witness,
 )
-from steinset.sumsets import iterated_sumset, signed_product_counts
+from steinset.sumsets import iterated_sumset, signed_product_counts, sumset_mask
 
 from oracles import (
     haight_class_mask,
@@ -260,6 +268,23 @@ def test_exhaustive_walk_marks_each_class_once(monkeypatch):
         calls.clear()
         found = haight._scan_modulus(n, k, None)
         assert found and len(calls) == len(found), (k, n, len(calls), len(found))
+
+
+def test_labelling_benchmark_walks_the_walk_it_measures(monkeypatch):
+    # tools/bench_gap_cut.py times canonical_mask on its own copy of the
+    # walk's nodes; their witness masks must reduce to the searched classes
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    from bench_gap_cut import _walk_nodes
+
+    for k, n in [(2, 12), (2, 13), (2, 14), (3, 24)]:
+        full = (1 << n) - 1
+        labels = {
+            canonical_mask(m, n)
+            for m in _walk_nodes(n, k)
+            if sumset_mask(m, negate_mask(m, n), n) == full
+        }
+        classes = [w.subset.mask for w in exhaustive_search(SearchConfig(k=k, n_range=(n, n)))]
+        assert classes and sorted(labels) == classes, (k, n)
 
 
 def test_divisor_pin_and_gap_cut_do_not_combine():

@@ -34,10 +34,7 @@ Standard library only; a run takes about 35 s on a 2-vCPU machine.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
 import shutil
 import statistics
 import subprocess
@@ -46,7 +43,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_sumset import ROOT, _extract_revision, _git
+from bench_common import ROOT, arguments, extract_revision, write_record
 
 SEED = 11  # session script and pre-fill seed
 REPS = 7  # timed spawns per command and side
@@ -117,19 +114,14 @@ class _Side:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("rev", help="git revision measured as 'before'")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_cli_startup.json"))
-    args = parser.parse_args()
-
-    before_sha = _git("rev-parse", args.rev).decode().strip()
+    before_sha, out = arguments(__doc__, "BENCH_cli_startup.json")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         session = workloads.Session(SEED, "full", tmp / "session")
-        sides = (_Side(_extract_revision(before_sha, tmp / "before"), tmp / "store-before", session),
+        sides = (_Side(extract_revision(before_sha, tmp / "before"), tmp / "store-before", session),
                  _Side(ROOT / "src", tmp / "store-after", session))
         count = len(session.ops) + 1  # the session script, then ERROR_ARGV
         labels = [*session.ops, " ".join(ERROR_ARGV)]
@@ -181,35 +173,23 @@ def main() -> None:
     total_after = round(sum(c["median_ms_after"] for c in commands), 1)
     print(f"{'sum of medians':<28} {total_before:>8.1f} -> {total_after:>8.1f} ms")
 
-    header = {
-        "git_sha_before": before_sha,
-        "git_sha_after": _git("rev-parse", "HEAD").decode().strip(),
-        "worktree_dirty": bool(_git("status", "--porcelain", "--", "src")),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "reps": REPS,
-    }
-    record = {
-        "label": "cli_startup",
-        "layer": "L5 the CLI as a process: spawn to exit",
-        **header,
-        "seed": SEED,
-        "bare_interpreter_ms": round(statistics.median(bare) * 1e3, 1),
-        "sum_median_ms_before": total_before,
-        "sum_median_ms_after": total_after,
-        "commands": commands,
-    }
-    error_record = {
-        "label": "error_path",
-        "layer": "L5 the CLI as a process: a usage error, spawn to exit 2",
-        **header,
-        "argv": ERROR_ARGV,
-        "stderr": error_stderr.decode(),
+    write_record(
+        out, before_sha, "L5 the CLI as a process: spawn to exit",
+        reps=REPS,
+        seed=SEED,
+        bare_interpreter_ms=round(statistics.median(bare) * 1e3, 1),
+        sum_median_ms_before=total_before,
+        sum_median_ms_after=total_after,
+        commands=commands,
+    )
+    write_record(
+        out.with_name("BENCH_error_path.json"), before_sha,
+        "L5 the CLI as a process: a usage error, spawn to exit 2",
+        reps=REPS,
+        argv=ERROR_ARGV,
+        stderr=error_stderr.decode(),
         **{key: value for key, value in error.items() if key != "command"},
-    }
-    out = Path(args.out)
-    out.write_text(json.dumps(record, indent=2) + "\n")
-    out.with_name("BENCH_error_path.json").write_text(json.dumps(error_record, indent=2) + "\n")
+    )
 
 
 if __name__ == "__main__":

@@ -1,64 +1,70 @@
-"""L0/L3 benchmark of canonical forms and the witness walk, before and after a change.
+"""L0/L3 benchmark of canonical labelling and the witness walk, before and after a change.
 
-Times ``steinset.haight.exhaustive_search`` at one modulus per case,
-``steinset.haight.stochastic_search`` on the ``search`` workload's two
-seeded configurations (k=3 n=24 budget 2500; k=2 n=22..24 budget 700)
-over WALK_SEEDS, and ``CyclicSet.canonical_form`` on a fixed seeded grid
-of random sets (n = 24, 48, 128, 512, sizes from 8 to n/2), with two
-copies of the library in one interpreter: the source of a given git
-revision (the base of the change) and ``src/`` of the working tree.
+Runs two copies of the library in one interpreter: the source of a given
+git revision (the base of the change) and ``src/`` of the working tree.
 Calls alternate between the two copies, and the side that goes first
-alternates per round, so drift in machine speed hits both alike.  For
-every case it checks that both copies return the same results, and
-records the median wall time over the rounds and its spread (largest
-minus smallest) on each side:
+alternates per round, so drift in machine speed hits both alike.  Every
+case checks that both copies give the same results.  Four parts:
+
+* ``CyclicSet.canonical_form`` per call on a fixed seeded grid of random
+  sets (n = 24, 48, 64, 128, 512, sizes from 8 to n/2): warm, the median
+  over rounds of 50 sets, and cold, the first call at a modulus, timed
+  alone after every cache that canonical labelling fills has been emptied;
+* ``haight.stochastic_search`` on the ``search`` workload's two seeded
+  configurations (k=3 n=24 budget 2500; k=2 n=22..24 budget 700), over
+  WALK_SEEDS in one timed call;
+* ``groups.canonical_mask`` per node of the exhaustive witness walk
+  (_walk_nodes) at (k, n) = (3, 24), (3, 30), (4, 36), (4, 40), every
+  node labelled once per round;
+* ``haight.exhaustive_search`` at one modulus per case.
+
+Each case records the median and spread (largest minus smallest) per side:
 
     python tools/bench_gap_cut.py REV [--out FILE]
 
 The record's label is the output file's name without ``BENCH_``.
-Standard library only.  A full run takes a few minutes on a 2-vCPU
-machine; the base's k=3 n=36 scan dominates.
+Standard library only.  A full run takes several minutes on a 2-vCPU
+machine; the base's k=3 n=36 scans and labelling the 154,445 nodes at
+k=4 n=40 dominate.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib
-import json
-import os
-import platform
 import random
 import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from bench_sumset import ROOT, _extract_revision, _git, _load
+from bench_common import arguments, load_copies, write_record
 
-CASES = [(2, 20), (2, 22), (2, 24), (3, 24), (3, 30), (3, 36), (4, 36), (4, 40)]
-REPS = 3  # timed calls per scan case and side
-CANONICAL_MODULI = (24, 48, 128, 512)
+ROUNDS = 7  # timed rounds per case and side
+CANONICAL_MODULI = (24, 48, 64, 128, 512)
 CANONICAL_SETS = 50  # random sets per (n, size) case, each reduced once per round
-CANONICAL_REPS = 7  # timed rounds per canonical_form case and side
+FIRST_CALLS = 41  # cold first calls per canonical_form case and side
 WALK_CASES = [(3, (24, 24), 2500), (2, (22, 24), 700)]  # (k, n_range, budget)
 WALK_SEEDS = range(1, 21)  # seeds per seeded walk case, all in one timed call
-WALK_REPS = 7  # timed calls per seeded walk case and side
+NODE_CASES = ((3, 24), (3, 30), (4, 36), (4, 40))
+CASES = [(2, 20), (2, 22), (2, 24), (3, 24), (3, 30), (3, 36), (4, 36), (4, 40)]
 
 
-def _alternate(run, reps: int) -> tuple[object, list[list[float]]]:
-    """Call run(0) and run(1), each returning (result, seconds), ``reps``
-    times a side, the side that goes first alternating per round; the one
-    result both sides gave, and each side's times."""
+def _alternate(run, rounds: int = ROUNDS) -> tuple[list, list[list[float]]]:
+    """Call run(i, rnd) for both sides i, each returning (result, seconds),
+    in ``rounds`` rounds, the side that goes first alternating per round;
+    the results of each round, which both sides must agree on, and each
+    side's times."""
     times: list[list[float]] = [[], []]
-    results = set()
-    for rep in range(reps):
-        for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
-            result, t = run(i)
+    results = []
+    for rnd in range(rounds):
+        got = set()
+        for i in ((0, 1) if rnd % 2 == 0 else (1, 0)):
+            result, t = run(i, rnd)
             times[i].append(t)
-            results.add(result)
-    if len(results) != 1:
-        raise SystemExit("results differ before and after")
-    return results.pop(), times
+            got.add(result)
+        if len(got) != 1:
+            raise SystemExit("results differ before and after")
+        results.append(got.pop())
+    return results, times
 
 
 def _summary(times: list[list[float]], unit: str, scale: float, digits: int) -> dict:
@@ -74,12 +80,30 @@ def _summary(times: list[list[float]], unit: str, scale: float, digits: int) -> 
     }
 
 
-def _scan(haight, k: int, n: int) -> tuple[tuple[int, ...], float]:
-    """Canonical class masks of one exhaustive search at modulus n, and its wall time."""
-    cfg = haight.SearchConfig(k=k, n_range=(n, n))
+def _canonical(sets: list) -> tuple[tuple[int, ...], float]:
+    """Canonical masks of ``sets``, and the wall time per set."""
     start = time.perf_counter()
-    found = haight.exhaustive_search(cfg)
-    return tuple(w.subset.mask for w in found), time.perf_counter() - start
+    forms = [s.canonical_form() for s in sets]
+    return tuple(f.mask for f in forms), (time.perf_counter() - start) / len(sets)
+
+
+def _first_call(groups, s) -> tuple[int, float]:
+    """Canonical mask of s after emptying the per-modulus caches that
+    canonical labelling fills (those the copy has), and the call's wall time."""
+    groups.units.cache_clear()
+    getattr(groups, "_STACKS", {}).clear()
+    start = time.perf_counter()
+    mask = s.canonical_form().mask
+    return mask, time.perf_counter() - start
+
+
+def _canonical_grid() -> list[tuple[int, int]]:
+    """(n, size) per canonical_form case: sizes double from 8, and n/2 ends each row."""
+    return [
+        (n, size)
+        for n in CANONICAL_MODULI
+        for size in [s for s in (8, 16, 32, 64, 128) if s < n // 2] + [n // 2]
+    ]
 
 
 def _walk(haight, k: int, n_range: tuple[int, int], budget: int) -> tuple[tuple, float]:
@@ -93,49 +117,71 @@ def _walk(haight, k: int, n_range: tuple[int, int], budget: int) -> tuple[tuple,
     return tuple((w.modulus, w.subset.mask) for ws in found for w in ws), seconds
 
 
-def _canonical(sets: list) -> tuple[tuple[int, ...], float]:
-    """Canonical masks of ``sets``, and the wall time per set."""
+def _walk_nodes(n: int, k: int) -> list[int]:
+    """Every mask that the exhaustive witness walk at modulus n pushes.
+
+    The walk of ``haight._scan_modulus`` without its witness tests: from
+    {0}, children x with last < x <= min(n - gap, (n + last) // 2), and a
+    child cut once its k-fold sumset is full.
+    """
+    full = (1 << n) - 1
+    nodes = [1]
+    stack = [(1, (1,) * k, 0, 0)]
+    while stack:
+        a, levels, last, gap = stack.pop()
+        for x in range(last + 1, min(n - gap, (n + last) // 2) + 1):
+            prev = 1
+            grown = []
+            for level in levels:
+                prev = level | (((prev << x) | (prev >> (n - x))) & full)
+                grown.append(prev)
+            if prev == full:
+                continue
+            b = a | (1 << x)
+            nodes.append(b)
+            stack.append((b, tuple(grown), x, max(gap, x - last)))
+    return nodes
+
+
+def _label(groups, nodes: list[int], n: int) -> tuple[int, float]:
+    """A hash of the canonical masks of ``nodes``, and the wall time per node."""
+    canonical_mask = groups.canonical_mask
     start = time.perf_counter()
-    forms = [s.canonical_form() for s in sets]
-    return tuple(f.mask for f in forms), (time.perf_counter() - start) / len(sets)
+    labels = [canonical_mask(m, n) for m in nodes]
+    return hash(tuple(labels)), (time.perf_counter() - start) / len(nodes)
 
 
-def _canonical_grid() -> list[tuple[int, int]]:
-    """(n, size) per canonical_form case: sizes double from 8, and n/2 ends each row."""
-    return [
-        (n, size)
-        for n in CANONICAL_MODULI
-        for size in [s for s in (8, 16, 32, 64, 128) if s < n // 2] + [n // 2]
-    ]
+def _scan(haight, k: int, n: int) -> tuple[tuple[int, ...], float]:
+    """Canonical class masks of one exhaustive search at modulus n, and its wall time."""
+    cfg = haight.SearchConfig(k=k, n_range=(n, n))
+    start = time.perf_counter()
+    found = haight.exhaustive_search(cfg)
+    return tuple(w.subset.mask for w in found), time.perf_counter() - start
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("rev", help="git revision measured as 'before'")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_gap_cut.json"))
-    args = parser.parse_args()
-
-    before_sha = _git("rev-parse", args.rev).decode().strip()
-    cases, walk_cases, canonical_cases = [], [], []
+    before_sha, out = arguments(__doc__, "BENCH_gap_cut.json")
+    canonical_cases, walk_cases, node_cases, cases = [], [], [], []
     with tempfile.TemporaryDirectory() as tmp:
-        _load(_extract_revision(before_sha, Path(tmp)), "steinset_before")
-        _load(ROOT / "src", "steinset_after")
-        sides = ("before", "after")
-        haights = [importlib.import_module(f"steinset_{s}.haight") for s in sides]
-        groups = [importlib.import_module(f"steinset_{s}.groups") for s in sides]
+        haights, groups = load_copies(before_sha, Path(tmp), "haight", "groups")
 
         for n, size in _canonical_grid():
             rng = random.Random(f"canonical:{n}:{size}")
             members = [rng.sample(range(n), size) for _ in range(CANONICAL_SETS)]
             sets = [[g.CyclicSet.from_members(n, m) for m in members] for g in groups]
-            _, times = _alternate(lambda i: _canonical(sets[i]), CANONICAL_REPS)
-            case = {"n": n, "size": size, **_summary(times, "us", 1e6, 1)}
+            # round r's first call labels the r-th set
+            _, first = _alternate(lambda i, rnd: _first_call(groups[i], sets[i][rnd]), FIRST_CALLS)
+            _, times = _alternate(lambda i, rnd: _canonical(sets[i]))
+            case = {"n": n, "size": size, **_summary(times, "us", 1e6, 1),
+                    "first_call": _summary(first, "us", 1e6, 1)}
             canonical_cases.append(case)
             print(f"canonical_form n={n:>3} size={size:>3}  {case['us_before']:8.1f} -> "
-                  f"{case['us_after']:8.1f} us  x{case['speedup']}", flush=True)
+                  f"{case['us_after']:8.1f} us  x{case['speedup']}  first call "
+                  f"{case['first_call']['us_before']:8.1f} -> "
+                  f"{case['first_call']['us_after']:8.1f} us", flush=True)
 
         for k, n_range, budget in WALK_CASES:
-            found, times = _alternate(lambda i: _walk(haights[i], k, n_range, budget), WALK_REPS)
+            (found, *_), times = _alternate(lambda i, rnd: _walk(haights[i], k, n_range, budget))
             lo, hi = n_range
             case = {"k": k, "n_range": [lo, hi], "budget": budget, "seeds": len(WALK_SEEDS),
                     "classes": len(found), **_summary(times, "ms", 1e3, 2)}
@@ -144,33 +190,38 @@ def main() -> None:
                   f"{case['ms_before']:8.2f} -> {case['ms_after']:8.2f} ms  x{case['speedup']}",
                   flush=True)
 
+        for k, n in NODE_CASES:
+            nodes = _walk_nodes(n, k)
+            _, times = _alternate(lambda i, rnd: _label(groups[i], nodes, n))
+            case = {"k": k, "n": n, "nodes": len(nodes), **_summary(times, "us_per_node", 1e6, 1)}
+            node_cases.append(case)
+            print(f"labelling k={k} n={n} {len(nodes):>7} nodes  "
+                  f"{case['us_per_node_before']:6.1f} -> {case['us_per_node_after']:6.1f} "
+                  f"us/node  x{case['speedup']}", flush=True)
+
         for k, n in CASES:
-            masks, times = _alternate(lambda i: _scan(haights[i], k, n), REPS)
+            (masks, *_), times = _alternate(lambda i, rnd: _scan(haights[i], k, n))
             case = {"k": k, "n": n, "classes": len(masks), **_summary(times, "seconds", 1, 4)}
             cases.append(case)
             print(f"k={k} n={n:>2} {case['classes']:>6} classes  {case['seconds_before']:8.3f} -> "
                   f"{case['seconds_after']:8.3f} s  x{case['speedup']}", flush=True)
 
-    record = {
-        "label": Path(args.out).stem.removeprefix("BENCH_"),
-        "layer": "L0 CyclicSet.canonical_form, L3 haight.exhaustive_search and stochastic_search",
-        "git_sha_before": before_sha,
-        "git_sha_after": _git("rev-parse", "HEAD").decode().strip(),
-        "worktree_dirty": bool(_git("status", "--porcelain", "--", "src")),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "method": (
-            f"median and spread (max - min) of {REPS} scans, {WALK_REPS} calls of "
-            f"{len(WALK_SEEDS)} seeded searches, or {CANONICAL_REPS} rounds of "
-            f"{CANONICAL_SETS} canonical_form calls a side, alternating before/after in one "
-            "interpreter; canonical_form times per call, seeded searches per "
-            f"{len(WALK_SEEDS)} seeds"
+    write_record(
+        out, before_sha,
+        "L0 CyclicSet.canonical_form and groups.canonical_mask, "
+        "L3 haight.stochastic_search and exhaustive_search",
+        method=(
+            f"median and spread (max - min) per side of {ROUNDS} rounds, alternating "
+            f"before/after in one interpreter: {CANONICAL_SETS} canonical_form calls (times per "
+            f"call), and apart from them {FIRST_CALLS} first calls with emptied caches, one per set, per grid "
+            f"case; one call of {len(WALK_SEEDS)} seeded searches per seeded walk case; every "
+            "walk node labelled once per labelling case; one scan per exhaustive case"
         ),
-        "canonical_form": canonical_cases,
-        "seeded_walk": walk_cases,
-        "cases": cases,
-    }
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+        canonical_form=canonical_cases,
+        seeded_walk=walk_cases,
+        labelling=node_cases,
+        cases=cases,
+    )
 
 
 if __name__ == "__main__":

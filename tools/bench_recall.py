@@ -24,17 +24,12 @@ machine.
 
 from __future__ import annotations
 
-import argparse
-import importlib
-import json
-import os
-import platform
 import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from bench_sumset import ROOT, _extract_revision, _git, _load
+from bench_common import arguments, load_copies, write_record
 
 POINTS = [(2, n) for n in (20, 22, 24, 28, 32, 36, 48, 64)] + [(3, n) for n in (24, 30, 36, 48, 60)]
 SEEDS = (11, 12, 13, 14)
@@ -98,18 +93,10 @@ def _point(before, after, k: int, n: int, seed: int) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("rev", help="git revision measured as 'before'")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_stochastic_recall.json"))
-    args = parser.parse_args()
-
-    before_sha = _git("rev-parse", args.rev).decode().strip()
+    before_sha, out = arguments(__doc__, "BENCH_stochastic_recall.json")
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
-        _load(_extract_revision(before_sha, Path(tmp)), "steinset_before")
-        _load(ROOT / "src", "steinset_after")
-        before, after = (importlib.import_module(f"steinset_{side}.haight")
-                         for side in ("before", "after"))
+        [(before, after)] = load_copies(before_sha, Path(tmp), "haight")
         for k, n in POINTS:
             for seed in SEEDS:
                 case = _point(before, after, k, n, seed)
@@ -128,25 +115,18 @@ def main() -> None:
         totals.append({"k": k, "n": n, "classes_before": before_sum, "classes_after": after_sum,
                        "after_at_least_before": after_sum >= before_sum,
                        "classes_after_same_budget": sum(c["classes_after_same_budget"] for c in mine)})
-    record = {
-        "label": Path(args.out).stem.removeprefix("BENCH_"),
-        "layer": "L3 haight.stochastic_search",
-        "git_sha_before": before_sha,
-        "git_sha_after": _git("rev-parse", "HEAD").decode().strip(),
-        "worktree_dirty": bool(_git("status", "--porcelain", "--", "src")),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "seeds": list(SEEDS),
-        "budget_before": {str(k): b for k, b in BASE_BUDGET.items()},
-        "method": "before runs at budget_before; each budget tried for after is timed in "
-                  f"{REPS} pairs of calls, the side that goes first alternating per pair; "
-                  "after's budget is raised until its median time exceeds before's median in "
-                  "the same pairs, then bisected; the largest budget tried that took no longer "
-                  "is reported (or the whole walk, if it fits)",
-        "totals": totals,
-        "cases": cases,
-    }
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    write_record(
+        out, before_sha, "L3 haight.stochastic_search",
+        seeds=list(SEEDS),
+        budget_before={str(k): b for k, b in BASE_BUDGET.items()},
+        method="before runs at budget_before; each budget tried for after is timed in "
+               f"{REPS} pairs of calls, the side that goes first alternating per pair; "
+               "after's budget is raised until its median time exceeds before's median in "
+               "the same pairs, then bisected; the largest budget tried that took no longer "
+               "is reported (or the whole walk, if it fits)",
+        totals=totals,
+        cases=cases,
+    )
 
 
 if __name__ == "__main__":

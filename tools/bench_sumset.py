@@ -15,21 +15,14 @@ time; a full run takes a few minutes on a 2-vCPU machine.
 
 from __future__ import annotations
 
-import argparse
-import importlib.util
-import json
-import os
-import platform
 import random
 import statistics
-import subprocess
-import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_common import arguments, load_copies, write_record
+
 MODULI = (1000, 4096, 16384, 65536, 262144)
 FAMILIES = ("random half-density pair", "interval self-sum", "2Z_n self-sum", "near miss")
 REPS = 9  # timed calls per case and side
@@ -49,24 +42,12 @@ def _operands(family: str, n: int) -> tuple[int, int]:
     return a, a
 
 
-def _load(src: Path, name: str):
-    """Import the ``steinset`` package under ``src`` as top-level package ``name``."""
-    init = src / "steinset" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)]
-    )
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return package
-
-
 class _Side:
     """One copy of the library, with its kernel calls recorded."""
 
-    def __init__(self, package):
-        self.sumsets = sys.modules[package.__name__ + ".sumsets"]
-        self.CyclicSet = sys.modules[package.__name__ + ".groups"].CyclicSet
+    def __init__(self, sumsets, groups):
+        self.sumsets = sumsets
+        self.CyclicSet = groups.CyclicSet
         self.ran: list[str] = []
         for name in ("sumset_shift_or", "sumset_convolution"):
             kernel = getattr(self.sumsets, name)
@@ -85,31 +66,11 @@ class _Side:
         return time.perf_counter() - start
 
 
-def _git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
-
-
-def _extract_revision(sha: str, dest: Path) -> Path:
-    """Extract ``src/`` of git revision ``sha`` under ``dest``; the extracted ``src``."""
-    dest.mkdir(parents=True, exist_ok=True)
-    archive = dest / "src.tar"
-    archive.write_bytes(_git("archive", sha, "src"))
-    with tarfile.open(archive) as tar:
-        tar.extractall(dest)
-    return dest / "src"
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("rev", help="git revision measured as 'before'")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_saturating_sumset.json"))
-    args = parser.parse_args()
-
-    before_sha = _git("rev-parse", args.rev).decode().strip()
+    before_sha, out = arguments(__doc__, "BENCH_saturating_sumset.json")
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
-        sides = (_Side(_load(_extract_revision(before_sha, Path(tmp)), "steinset_before")),
-                 _Side(_load(ROOT / "src", "steinset_after")))
+        sides = [_Side(*copy) for copy in zip(*load_copies(before_sha, Path(tmp), "sumsets", "groups"))]
         for n in MODULI:
             for family in FAMILIES:
                 masks = _operands(family, n)
@@ -139,20 +100,13 @@ def main() -> None:
                 print(f"{n:>7} {family:<26} {old_kernel:>12} -> {new_kernel:<12} "
                       f"{before_ms:>10.3f} -> {after_ms:>10.3f} ms  x{case['speedup']}", flush=True)
 
-    record = {
-        "label": "saturating_sumset",
-        "layer": "L1 sumsets.sumset",
-        "git_sha_before": before_sha,
-        "git_sha_after": _git("rev-parse", "HEAD").decode().strip(),
-        "worktree_dirty": bool(_git("status", "--porcelain", "--", "src")),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "reps": REPS,
-        "kernel": "kernel that sumset ran: shift_or, convolution, or none "
-                  "(answered by the saturation probe or a full operand)",
-        "cases": cases,
-    }
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    write_record(
+        out, before_sha, "L1 sumsets.sumset",
+        reps=REPS,
+        kernel="kernel that sumset ran: shift_or, convolution, or none "
+               "(answered by the saturation probe or a full operand)",
+        cases=cases,
+    )
 
 
 if __name__ == "__main__":
