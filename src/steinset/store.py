@@ -295,6 +295,7 @@ class WitnessStore:
                 continue
             else:
                 try:
+                    # UnicodeDecodeError, a ValueError, if a byte is not UTF-8
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                     record = _parse_record(line)
                     key = _dedup_key(record.kind, record.payload)

@@ -137,14 +137,14 @@ def main() -> None:
                 side.reset_store()
             for i in range(count):
                 order = (0, 1) if (rep + i) % 2 == 0 else (1, 0)
-                out = [(b"", b""), (b"", b"")]
+                printed = [(b"", b""), (b"", b"")]
                 for k in order:
-                    elapsed, peak, *out[k] = sides[k].run(i)
+                    elapsed, peak, *printed[k] = sides[k].run(i)
                     times[i][k].append(elapsed)
                     peaks[i][k].append(peak)
-                if out[0] != out[1]:
+                if printed[0] != printed[1]:
                     raise SystemExit(f"{labels[i]}: output differs before and after")
-        error_stderr = out[0][1]  # of the last command, ERROR_ARGV
+        error_stderr = printed[0][1]  # of the last command, ERROR_ARGV
         bare = []
         for _ in range(REPS):
             start = time.perf_counter()
