@@ -253,12 +253,11 @@ def independence_check(
          sum(2 * a + 1 for a in s if a <= min(xi, spec.a_max)))
         for s in spec.index_sets
     ]
-    coeffs = [c for c in range(-m, m + 1) if c != 0]
     top = min(m, len(sizes))
 
-    # refuse oversized enumerations before starting
+    # refuse oversized enumerations before starting; 2m nonzero coefficients
     total_tuples = sum(
-        (prod(t for t, _ in combo) - prod(s for _, s in combo)) * len(coeffs) ** n
+        (prod(t for t, _ in combo) - prod(s for _, s in combo)) * (2 * m) ** n
         for n in range(1, top + 1)
         for combo in combinations(sizes, n)
     )
@@ -271,8 +270,13 @@ def independence_check(
     ]
     checked = 0
     for n in range(1, top + 1):
-        lam_vectors = list(product(coeffs, repeat=n))
+        lam_vectors = None  # built at the first combo of this level with a point outside
         for combo in combinations(range(len(points)), n):
+            if all(sizes[i][0] == sizes[i][1] for i in combo):
+                continue  # every point inside [-Xi, Xi]
+            if lam_vectors is None:
+                coeffs = [c for c in range(-m, m + 1) if c != 0]
+                lam_vectors = list(product(coeffs, repeat=n))
             for xs in product(*(points[i] for i in combo)):
                 if all(abs(x) <= big_xi for x in xs):
                     continue

@@ -226,3 +226,19 @@ def test_spec_refuses_indices_above_max_index():
     with pytest.raises(ValueError, match=f"index {top}"):
         ThickFamilySpec.parse(f"sets=[{{1}},{{{top}}}] a_max={top}")
     ThickFamilySpec.unchecked([{top}], a_max=top)
+
+
+def test_independence_builds_no_coefficients_where_no_tuple_is_checked():
+    # every block lies inside [-Xi(60), Xi(60)]; the 120^3 coefficient
+    # vectors of level 3 alone would take over 100 MB
+    import tracemalloc
+
+    spec = ThickFamilySpec.parse("sets=[{1},{2},{3}] a_max=3")
+    tracemalloc.start()
+    try:
+        result = independence_check(spec, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.tuples_checked == 0
+    assert peak < 5 << 20

@@ -283,3 +283,19 @@ def test_pm_verdict_failure_positions_can_differ_per_class():
     v = pm_verdict(spec, 2)
     assert not v.holds
     assert v.witnesses == (0, 1)
+
+
+def test_pm_verdict_scans_classes_without_listing_them():
+    # the first class decides at m = 10**6; a list of all m + 1 classes
+    # alone would hold tens of megabytes
+    import tracemalloc
+
+    spec = SeqSpec.constant(cs(5, [0, 1]))
+    tracemalloc.start()
+    try:
+        v = pm_verdict(spec, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == Verdict(holds=True, k0=0, sign_class=(10**6, 0))
+    assert peak < 1 << 20

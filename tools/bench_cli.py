@@ -4,21 +4,21 @@ Spawns every command of the ``session`` workload's script (perfbench,
 full scale, seed SEED) as its own ``python -B`` process that runs
 ``steinset.cli`` as ``-m`` would, once with the source of a given git
 revision (the base of the change) and once with ``src/`` of the working
-tree.  Each side runs the script in order against its own copy of the
-pre-filled store, followed by one usage error, ERROR_ARGV, that must exit
-2; the two sides alternate command by command, so drift in machine speed
-hits both alike.  ``-B`` keeps children from writing bytecode, so every
-process compiles the modules it imports, as when the package runs from a
-fresh checkout.
+tree.  In each of REPS rounds, each side runs the script in order on a
+fresh copy of the pre-filled store, then one usage error, ERROR_ARGV,
+that must exit 2; the two sides alternate command by command, so drift
+in machine speed hits both alike.  ``-B`` keeps children from writing
+bytecode, so every process compiles the modules it imports, as when the
+package runs from a fresh checkout.
 
-For every command it records, on each side:
+For every command it records, judged by ``bench_common.summary``:
 
-* the median wall time over REPS spawns, from spawn to exit;
-* the median of the process's own peak resident memory, ``VmHWM`` from
+* ``ms``: the wall time, from spawn to exit;
+* ``peak_rss_mb``: the process's own peak resident memory, ``VmHWM`` from
   ``/proc/self/status``, which the child's bootstrap BOOT writes to a file
-  at exit.  ``ru_maxrss`` from ``wait4`` would not do: ``subprocess``
-  starts children with vfork, so a child's ``ru_maxrss`` includes the
-  peak of this tool, its parent;
+  at exit (its verdict "faster" reads "lower").  ``ru_maxrss`` from
+  ``wait4`` would not do: ``subprocess`` starts children with vfork, so a
+  child's ``ru_maxrss`` includes the peak of this tool, its parent;
 * the ``steinset`` modules (and ``dataclasses``, if imported) that the
   command loaded (``steinset.cli`` itself runs as ``__main__`` and is not
   listed).
@@ -43,10 +43,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_common import ROOT, arguments, extract_revision, write_record
+from bench_common import ROOT, arguments, extract_revision, summary, write_record
 
 SEED = 11  # session script and pre-fill seed
-REPS = 7  # timed spawns per command and side
+REPS = 10  # rounds: timed spawns per command and side
 ERROR_ARGV = ["sumset", "7:{0,1,3}", "nonsense"]  # a usage error: exit status 2
 
 # Runs the CLI as ``-m steinset.cli`` would, then, at exit, writes the
@@ -130,8 +130,8 @@ def main() -> None:
         for k, side in enumerate(sides):
             side.reset_store()
             modules[k].extend(side.modules(i) for i in range(count))
-        times: list[tuple[list[float], list[float]]] = [([], []) for _ in range(count)]
-        peaks: list[tuple[list[float], list[float]]] = [([], []) for _ in range(count)]
+        # per command, each side's wall times and peaks
+        times, peaks = ([([], []) for _ in range(count)] for _ in range(2))
         for rep in range(REPS):
             for side in sides:
                 side.reset_store()
@@ -153,24 +153,15 @@ def main() -> None:
 
     commands = []
     for i, label in enumerate(labels):
-        before_ms, after_ms = (round(statistics.median(t) * 1e3, 1) for t in times[i])
-        before_mb, after_mb = (round(statistics.median(p), 2) for p in peaks[i])
-        commands.append({
-            "command": label,
-            "median_ms_before": before_ms,
-            "median_ms_after": after_ms,
-            "ratio": round(after_ms / before_ms, 3),
-            "peak_rss_mb_before": before_mb,
-            "peak_rss_mb_after": after_mb,
-            "modules_before": modules[0][i],
-            "modules_after": modules[1][i],
-        })
-        print(f"{label:<28} {before_ms:>8.1f} -> {after_ms:>8.1f} ms  "
-              f"{before_mb:>6.2f} -> {after_mb:>6.2f} MB  "
-              f"{len(modules[0][i])} -> {len(modules[1][i])} modules", flush=True)
+        ms, mb = summary(times[i], 1e3, 1), summary(peaks[i], 1, 2)
+        commands.append({"command": label, "ms": ms, "peak_rss_mb": mb,
+                         "modules_before": modules[0][i], "modules_after": modules[1][i]})
+        print(f"{label:<28} {ms['median_before']:>8.1f} -> {ms['median_after']:>8.1f} ms "
+              f"{ms['verdict']:<10}  {mb['median_before']:>6.2f} -> {mb['median_after']:>6.2f} MB "
+              f"{mb['verdict']:<10}  {len(modules[0][i])} -> {len(modules[1][i])} modules", flush=True)
     error = commands.pop()
-    total_before = round(sum(c["median_ms_before"] for c in commands), 1)
-    total_after = round(sum(c["median_ms_after"] for c in commands), 1)
+    total_before, total_after = (round(sum(c["ms"][f"median_{side}"] for c in commands), 1)
+                                 for side in ("before", "after"))
     print(f"{'sum of medians':<28} {total_before:>8.1f} -> {total_after:>8.1f} ms")
 
     write_record(

@@ -1,12 +1,16 @@
-"""What the benchmark tools share: their command line, the two library copies, the record.
+"""What the benchmark tools share: their command line, the two library
+copies, the A/B rule and the record.
 
 Every tool compares the source of a given git revision (the base of a
 change) with ``src/`` of the working tree, and writes one JSON record:
 
     python tools/bench_<name>.py REV [--out FILE]
 
-A record's label is its output file's name without ``BENCH_``.
-Standard library only.
+Side 0 is REV ("before"), side 1 the working tree ("after").  Each tool
+times both sides in alternated rounds and judges them by ``summary``:
+quartiles per side, the rounds each side won, and a verdict by the rule
+that perfbench pairs follow.  A record's label is its output file's name
+without ``BENCH_``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import importlib.util
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -67,6 +72,54 @@ def load_copies(sha: str, dest: Path, *modules: str) -> list[list]:
     _load(ROOT / "src", "steinset_after")
     return [[importlib.import_module(f"steinset_{side}.{name}") for side in ("before", "after")]
             for name in modules]
+
+
+def alternate(run, rounds: int) -> tuple[list, list[list[float]]]:
+    """Call ``run(side, rnd) -> (result, seconds)`` for both sides in each of
+    ``rounds`` rounds, the side that goes first alternating by round; the
+    result of each round, which both sides must agree on, and each side's
+    times."""
+    times: list[list[float]] = [[], []]
+    results = []
+    for rnd in range(rounds):
+        got = set()
+        for side in ((0, 1) if rnd % 2 == 0 else (1, 0)):
+            result, seconds = run(side, rnd)
+            times[side].append(seconds)
+            got.add(result)
+        if len(got) != 1:
+            raise SystemExit(f"round {rnd}: results differ before and after")
+        results.append(got.pop())
+    return results, times
+
+
+def summary(times: list[list[float]], scale: float, digits: int) -> dict:
+    """Judge two sides' times from alternated rounds, both scaled by ``scale``.
+
+    Per side: the median and the first and third quartiles, and the rounds
+    it won (lower time; a tie counts for neither).  ``speedup`` is
+    before/after.  ``verdict`` is "faster" (or "slower") when the working
+    tree won (or lost) at least 9 in 10 rounds and the medians differ by
+    more than REV's interquartile range; otherwise "unresolved".
+    """
+    before, after = ([t * scale for t in side] for side in times)
+    (q1, median, q3), (q1_after, median_after, q3_after) = (
+        statistics.quantiles(side, n=4, method="inclusive") for side in (before, after))
+    won = sum(a < b for b, a in zip(before, after))
+    lost = sum(b < a for b, a in zip(before, after))
+    verdict = "unresolved"
+    if 10 * won >= 9 * len(before) and median - median_after > q3 - q1:
+        verdict = "faster"
+    elif 10 * lost >= 9 * len(before) and median_after - median > q3 - q1:
+        verdict = "slower"
+    r = lambda x: round(x, digits)
+    return {
+        "median_before": r(median), "q1_before": r(q1), "q3_before": r(q3),
+        "median_after": r(median_after), "q1_after": r(q1_after), "q3_after": r(q3_after),
+        "won_before": lost, "won_after": won,
+        "speedup": round(median / median_after, 2),
+        "verdict": verdict,
+    }
 
 
 def write_record(out: Path, before_sha: str, layer: str, **fields) -> None:

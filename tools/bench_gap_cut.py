@@ -2,9 +2,9 @@
 
 Runs two copies of the library in one interpreter: the source of a given
 git revision (the base of the change) and ``src/`` of the working tree.
-Calls alternate between the two copies, and the side that goes first
-alternates per round, so drift in machine speed hits both alike.  Every
-case checks that both copies give the same results.  Four parts:
+Every case runs ROUNDS alternated rounds (``bench_common.alternate``),
+checks that both copies give the same results, and is judged by
+``bench_common.summary``.  Four parts:
 
 * ``CyclicSet.canonical_form`` per call on a fixed seeded grid of random
   sets (n = 24, 48, 64, 128, 512, sizes from 8 to n/2): warm, the median
@@ -18,11 +18,8 @@ case checks that both copies give the same results.  Four parts:
   node labelled once per round;
 * ``haight.exhaustive_search`` at one modulus per case.
 
-Each case records the median and spread (largest minus smallest) per side:
-
     python tools/bench_gap_cut.py REV [--out FILE]
 
-The record's label is the output file's name without ``BENCH_``.
 Standard library only.  A full run takes several minutes on a 2-vCPU
 machine; the base's k=3 n=36 scans and labelling the 154,445 nodes at
 k=4 n=40 dominate.
@@ -31,14 +28,13 @@ k=4 n=40 dominate.
 from __future__ import annotations
 
 import random
-import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from bench_common import arguments, load_copies, write_record
+from bench_common import alternate, arguments, load_copies, summary, write_record
 
-ROUNDS = 7  # timed rounds per case and side
+ROUNDS = 10  # alternated rounds per case, as many as summary's 9-in-10 rule counts
 CANONICAL_MODULI = (24, 48, 64, 128, 512)
 CANONICAL_SETS = 50  # random sets per (n, size) case, each reduced once per round
 FIRST_CALLS = 41  # cold first calls per canonical_form case and side
@@ -46,38 +42,6 @@ WALK_CASES = [(3, (24, 24), 2500), (2, (22, 24), 700)]  # (k, n_range, budget)
 WALK_SEEDS = range(1, 21)  # seeds per seeded walk case, all in one timed call
 NODE_CASES = ((3, 24), (3, 30), (4, 36), (4, 40))
 CASES = [(2, 20), (2, 22), (2, 24), (3, 24), (3, 30), (3, 36), (4, 36), (4, 40)]
-
-
-def _alternate(run, rounds: int = ROUNDS) -> tuple[list, list[list[float]]]:
-    """Call run(i, rnd) for both sides i, each returning (result, seconds),
-    in ``rounds`` rounds, the side that goes first alternating per round;
-    the results of each round, which both sides must agree on, and each
-    side's times."""
-    times: list[list[float]] = [[], []]
-    results = []
-    for rnd in range(rounds):
-        got = set()
-        for i in ((0, 1) if rnd % 2 == 0 else (1, 0)):
-            result, t = run(i, rnd)
-            times[i].append(t)
-            got.add(result)
-        if len(got) != 1:
-            raise SystemExit("results differ before and after")
-        results.append(got.pop())
-    return results, times
-
-
-def _summary(times: list[list[float]], unit: str, scale: float, digits: int) -> dict:
-    """Median and spread of each side's times, in ``unit`` (seconds times ``scale``)."""
-    before, after = ([t * scale for t in side] for side in times)
-    before_m, after_m = statistics.median(before), statistics.median(after)
-    return {
-        f"{unit}_before": round(before_m, digits),
-        f"{unit}_after": round(after_m, digits),
-        f"{unit}_spread_before": round(max(before) - min(before), digits),
-        f"{unit}_spread_after": round(max(after) - min(after), digits),
-        "speedup": round(before_m / after_m, 2),
-    }
 
 
 def _canonical(sets: list) -> tuple[tuple[int, ...], float]:
@@ -159,6 +123,12 @@ def _scan(haight, k: int, n: int) -> tuple[tuple[int, ...], float]:
     return tuple(w.subset.mask for w in found), time.perf_counter() - start
 
 
+def _report(what: str, case: dict, unit: str) -> None:
+    print(f"{what}  {case['median_before']:10.4g} -> {case['median_after']:10.4g} {unit}  "
+          f"x{case['speedup']}  won {case['won_before']}:{case['won_after']}  {case['verdict']}",
+          flush=True)
+
+
 def main() -> None:
     before_sha, out = arguments(__doc__, "BENCH_gap_cut.json")
     canonical_cases, walk_cases, node_cases, cases = [], [], [], []
@@ -170,53 +140,48 @@ def main() -> None:
             members = [rng.sample(range(n), size) for _ in range(CANONICAL_SETS)]
             sets = [[g.CyclicSet.from_members(n, m) for m in members] for g in groups]
             # round r's first call labels the r-th set
-            _, first = _alternate(lambda i, rnd: _first_call(groups[i], sets[i][rnd]), FIRST_CALLS)
-            _, times = _alternate(lambda i, rnd: _canonical(sets[i]))
-            case = {"n": n, "size": size, **_summary(times, "us", 1e6, 1),
-                    "first_call": _summary(first, "us", 1e6, 1)}
+            _, first = alternate(lambda i, rnd: _first_call(groups[i], sets[i][rnd]), FIRST_CALLS)
+            _, times = alternate(lambda i, rnd: _canonical(sets[i]), ROUNDS)
+            case = {"n": n, "size": size, **summary(times, 1e6, 1),
+                    "first_call": summary(first, 1e6, 1)}
             canonical_cases.append(case)
-            print(f"canonical_form n={n:>3} size={size:>3}  {case['us_before']:8.1f} -> "
-                  f"{case['us_after']:8.1f} us  x{case['speedup']}  first call "
-                  f"{case['first_call']['us_before']:8.1f} -> "
-                  f"{case['first_call']['us_after']:8.1f} us", flush=True)
+            _report(f"canonical_form n={n:>3} size={size:>3}", case, "us")
+            _report("    first call", case["first_call"], "us")
 
         for k, n_range, budget in WALK_CASES:
-            (found, *_), times = _alternate(lambda i, rnd: _walk(haights[i], k, n_range, budget))
+            (found, *_), times = alternate(lambda i, rnd: _walk(haights[i], k, n_range, budget), ROUNDS)
             lo, hi = n_range
             case = {"k": k, "n_range": [lo, hi], "budget": budget, "seeds": len(WALK_SEEDS),
-                    "classes": len(found), **_summary(times, "ms", 1e3, 2)}
+                    "classes": len(found), **summary(times, 1e3, 2)}
             walk_cases.append(case)
-            print(f"seeded k={k} n={lo}..{hi} budget={budget} {case['classes']:>6} classes  "
-                  f"{case['ms_before']:8.2f} -> {case['ms_after']:8.2f} ms  x{case['speedup']}",
-                  flush=True)
+            _report(f"seeded k={k} n={lo}..{hi} budget={budget} {len(found):>6} classes", case, "ms")
 
         for k, n in NODE_CASES:
             nodes = _walk_nodes(n, k)
-            _, times = _alternate(lambda i, rnd: _label(groups[i], nodes, n))
-            case = {"k": k, "n": n, "nodes": len(nodes), **_summary(times, "us_per_node", 1e6, 1)}
+            _, times = alternate(lambda i, rnd: _label(groups[i], nodes, n), ROUNDS)
+            case = {"k": k, "n": n, "nodes": len(nodes), **summary(times, 1e6, 1)}
             node_cases.append(case)
-            print(f"labelling k={k} n={n} {len(nodes):>7} nodes  "
-                  f"{case['us_per_node_before']:6.1f} -> {case['us_per_node_after']:6.1f} "
-                  f"us/node  x{case['speedup']}", flush=True)
+            _report(f"labelling k={k} n={n} {len(nodes):>7} nodes", case, "us/node")
 
         for k, n in CASES:
-            (masks, *_), times = _alternate(lambda i, rnd: _scan(haights[i], k, n))
-            case = {"k": k, "n": n, "classes": len(masks), **_summary(times, "seconds", 1, 4)}
+            (masks, *_), times = alternate(lambda i, rnd: _scan(haights[i], k, n), ROUNDS)
+            case = {"k": k, "n": n, "classes": len(masks), **summary(times, 1, 4)}
             cases.append(case)
-            print(f"k={k} n={n:>2} {case['classes']:>6} classes  {case['seconds_before']:8.3f} -> "
-                  f"{case['seconds_after']:8.3f} s  x{case['speedup']}", flush=True)
+            _report(f"k={k} n={n:>2} {len(masks):>6} classes", case, "s")
 
     write_record(
         out, before_sha,
         "L0 CyclicSet.canonical_form and groups.canonical_mask, "
         "L3 haight.stochastic_search and exhaustive_search",
         method=(
-            f"median and spread (max - min) per side of {ROUNDS} rounds, alternating "
-            f"before/after in one interpreter: {CANONICAL_SETS} canonical_form calls (times per "
-            f"call), and apart from them {FIRST_CALLS} first calls with emptied caches, one per set, per grid "
-            f"case; one call of {len(WALK_SEEDS)} seeded searches per seeded walk case; every "
-            "walk node labelled once per labelling case; one scan per exhaustive case"
+            f"bench_common.summary of {ROUNDS} alternated rounds in one interpreter: "
+            f"{CANONICAL_SETS} canonical_form calls (times per call), and apart from them "
+            f"{FIRST_CALLS} first calls with emptied caches, one per set, per grid case; one call "
+            f"of {len(WALK_SEEDS)} seeded searches per seeded walk case; every walk node labelled "
+            "once per labelling case; one scan per exhaustive case"
         ),
+        units={"canonical_form": "us per call", "seeded_walk": "ms per call",
+               "labelling": "us per node", "cases": "s per scan"},
         canonical_form=canonical_cases,
         seeded_walk=walk_cases,
         labelling=node_cases,

@@ -4,9 +4,9 @@ Runs ``steinset.haight.stochastic_search`` from two copies of the library
 in one interpreter: the source of a given git revision (the base of the
 change) and ``src/`` of the working tree.  For every (k, n, seed) the
 base runs at a fixed budget (BASE_BUDGET[k]).  Each budget tried for the
-working tree is timed in REPS pairs of calls, one call of each copy per
-pair, the side that goes first alternating per pair, so drift in machine
-speed hits both alike, and the two medians are compared.  The budget is
+working tree is timed against it in REPS alternated rounds
+(``bench_common.alternate``), and the two medians of
+``bench_common.summary`` are compared.  The budget is
 raised from START_BUDGET until the working tree's median exceeds the
 base's, then bisected to within 5%; the largest budget tried that took
 no longer than the base is reported.  A budget of 2^(n-1) or more covers
@@ -16,27 +16,24 @@ each side, and the classes the working tree finds at the base's budget:
 
     python tools/bench_recall.py REV [--out FILE]
 
-The record's label is the output file's name without ``BENCH_``.
-
 Standard library only.  A full run takes several minutes on a 2-vCPU
 machine.
 """
 
 from __future__ import annotations
 
-import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from bench_common import arguments, load_copies, write_record
+from bench_common import alternate, arguments, load_copies, summary, write_record
 
 POINTS = [(2, n) for n in (20, 22, 24, 28, 32, 36, 48, 64)] + [(3, n) for n in (24, 30, 36, 48, 60)]
 SEEDS = (11, 12, 13, 14)
 BASE_BUDGET = {2: 3000, 3: 60000}  # per-modulus budget of the base side
 START_BUDGET = 100  # the working tree's first budget
 MAX_STEPS = 16  # budgets tried per (k, n, seed)
-REPS = 3  # timed calls a side per budget tried
+REPS = 3  # alternated rounds per budget tried
 
 
 def _timed(haight, k: int, n: int, seed: int, budget: int) -> tuple[int, float]:
@@ -55,13 +52,15 @@ def _point(before, after, k: int, n: int, seed: int) -> dict:
     budget = START_BUDGET
     for _ in range(MAX_STEPS):
         runs = ((before, BASE_BUDGET[k]), (after, budget))
-        found, times = [0, 0], ([], [])
-        for rep in range(REPS):
-            for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
-                found[i], t = _timed(runs[i][0], k, n, seed, runs[i][1])
-                times[i].append(t)
+        found = [0, 0]  # classes per side: the budgets differ, so may the classes
+
+        def run(i: int, rnd: int) -> tuple[None, float]:
+            found[i], seconds = _timed(runs[i][0], k, n, seed, runs[i][1])
+            return None, seconds
+
+        medians = summary(alternate(run, REPS)[1], 1, 6)
         base_classes, classes = found
-        target, seconds = (statistics.median(t) for t in times)
+        target, seconds = medians["median_before"], medians["median_after"]
         trials.append((budget, classes, seconds, target))
         if seconds <= target:
             fit = budget
@@ -84,10 +83,10 @@ def _point(before, after, k: int, n: int, seed: int) -> dict:
         "seed": seed,
         "budget_before": BASE_BUDGET[k],
         "classes_before": base_classes,
-        "seconds_before": round(target, 4),
+        "seconds_before": target,
         "budget_after": budget,
         "classes_after": classes,
-        "seconds_after": round(seconds, 4),
+        "seconds_after": seconds,
         "classes_after_same_budget": _timed(after, k, n, seed, BASE_BUDGET[k])[0],
     }
 
@@ -120,9 +119,9 @@ def main() -> None:
         seeds=list(SEEDS),
         budget_before={str(k): b for k, b in BASE_BUDGET.items()},
         method="before runs at budget_before; each budget tried for after is timed in "
-               f"{REPS} pairs of calls, the side that goes first alternating per pair; "
+               f"{REPS} alternated rounds against it (bench_common.summary medians); "
                "after's budget is raised until its median time exceeds before's median in "
-               "the same pairs, then bisected; the largest budget tried that took no longer "
+               "the same rounds, then bisected; the largest budget tried that took no longer "
                "is reported (or the whole walk, if it fits)",
         totals=totals,
         cases=cases,

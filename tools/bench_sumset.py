@@ -3,9 +3,9 @@
 Times ``steinset.sumsets.sumset`` on a fixed grid of moduli and operand
 families with two copies of the library in one interpreter: the source
 of a given git revision (the base of the change) and ``src/`` of the
-working tree.  Calls alternate between the two copies, so drift in machine speed
-hits both alike.  For every case it records which kernel each copy ran
-and the median wall time over REPS calls a side, and writes one JSON file:
+working tree.  For every case it records which kernel each copy ran and
+times REPS alternated rounds of one call a side, judged by
+``bench_common.summary`` in milliseconds; it writes one JSON file:
 
     python tools/bench_sumset.py REV [--out FILE]
 
@@ -16,16 +16,15 @@ time; a full run takes a few minutes on a 2-vCPU machine.
 from __future__ import annotations
 
 import random
-import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from bench_common import arguments, load_copies, write_record
+from bench_common import alternate, arguments, load_copies, summary, write_record
 
 MODULI = (1000, 4096, 16384, 65536, 262144)
 FAMILIES = ("random half-density pair", "interval self-sum", "2Z_n self-sum", "near miss")
-REPS = 9  # timed calls per case and side
+REPS = 10  # alternated rounds per case
 
 
 def _operands(family: str, n: int) -> tuple[int, int]:
@@ -54,16 +53,17 @@ class _Side:
             setattr(self.sumsets, name,
                     lambda a, b, k=kernel, tag=name[7:]: self.ran.append(tag) or k(a, b))
 
-    def first_call(self, a, b):
-        """Result mask and the kernel that ran ('none' if the dispatcher answered alone)."""
+    def kernel(self, a, b) -> str:
+        """The kernel that sumset runs ('none' if the dispatcher answers alone)."""
         self.ran.clear()
-        mask = self.sumsets.sumset(a, b).mask
-        return mask, self.ran[0] if self.ran else "none"
-
-    def time_call(self, a, b) -> float:
-        start = time.perf_counter()
         self.sumsets.sumset(a, b)
-        return time.perf_counter() - start
+        return self.ran[0] if self.ran else "none"
+
+    def time_call(self, a, b) -> tuple[int, float]:
+        """Result mask and the call's wall time."""
+        start = time.perf_counter()
+        mask = self.sumsets.sumset(a, b).mask
+        return mask, time.perf_counter() - start
 
 
 def main() -> None:
@@ -75,34 +75,25 @@ def main() -> None:
             for family in FAMILIES:
                 masks = _operands(family, n)
                 operands = [tuple(s.CyclicSet(n, m) for m in masks) for s in sides]
-                (old, old_kernel), (new, new_kernel) = (
-                    s.first_call(*ops) for s, ops in zip(sides, operands)
-                )
-                if old != new:
-                    raise SystemExit(f"n={n} {family}: results differ before and after")
-                times: tuple[list[float], list[float]] = ([], [])
-                for rep in range(REPS):
-                    order = (0, 1) if rep % 2 == 0 else (1, 0)
-                    for i in order:
-                        times[i].append(sides[i].time_call(*operands[i]))
-                before_ms, after_ms = (round(statistics.median(t) * 1e3, 4) for t in times)
+                old_kernel, new_kernel = (s.kernel(*ops) for s, ops in zip(sides, operands))
+                (mask, *_), times = alternate(lambda i, rnd: sides[i].time_call(*operands[i]), REPS)
                 case = {
                     "n": n,
                     "family": family,
-                    "full": new == (1 << n) - 1,
+                    "full": mask == (1 << n) - 1,
                     "kernel_before": old_kernel,
                     "kernel_after": new_kernel,
-                    "median_ms_before": before_ms,
-                    "median_ms_after": after_ms,
-                    "speedup": round(before_ms / after_ms, 2),
+                    **summary(times, 1e3, 4),
                 }
                 cases.append(case)
                 print(f"{n:>7} {family:<26} {old_kernel:>12} -> {new_kernel:<12} "
-                      f"{before_ms:>10.3f} -> {after_ms:>10.3f} ms  x{case['speedup']}", flush=True)
+                      f"{case['median_before']:>10.3f} -> {case['median_after']:>10.3f} ms  "
+                      f"x{case['speedup']}  {case['verdict']}", flush=True)
 
     write_record(
         out, before_sha, "L1 sumsets.sumset",
         reps=REPS,
+        unit="ms per call",
         kernel="kernel that sumset ran: shift_or, convolution, or none "
                "(answered by the saturation probe or a full operand)",
         cases=cases,
