@@ -29,7 +29,7 @@ session commands go to one JSON file, the usage error to
 
     python tools/bench_cli.py REV [--out FILE]
 
-Standard library only; a run takes about 35 s on a 2-vCPU machine.
+Standard library only; a run takes about a minute on a 2-vCPU machine.
 """
 
 from __future__ import annotations
