@@ -14,7 +14,6 @@ import weakref
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd
-from operator import sub
 from typing import Iterable, Iterator
 
 from .values import Value, set_field
@@ -28,12 +27,11 @@ MAX_MODULUS = 1 << 20
 # VM, BENCH_canonical_stack.json).
 CANONICAL_MAX_MODULUS = 512
 
-# canonical_mask keeps a table of stacked unit images (_UnitStack) per modulus
-# up to this one.  A table holds one int per residue met; with every residue
+# largest_gap_images and canonical_mask read a table of stacked unit images
+# (_UnitStack) per modulus; tables are kept up to this modulus and built per
+# call above it.  A table holds one int per residue met; with every residue
 # met at every modulus up to 64 they take 0.56 MB, and up to 80 they would
-# take 1.2 MB.  Without a table the stacked images cost as much as sorting
-# the unit multiples at n = 128 and more at n = 512, where each of the run
-# search's big-int operations spans 16 KB.
+# take 1.2 MB.
 STACK_MAX_MODULUS = 64
 _STACKS: dict[int, "_UnitStack"] = {}
 
@@ -111,43 +109,6 @@ def negate_mask(mask: int, n: int) -> int:
     return rotate_mask(int(format(mask, f"0{n}b")[::-1], 2), 1, n)
 
 
-def _unit_multiples(mask: int, n: int) -> Iterator[tuple[list[int], list[int], int]]:
-    """(sorted u*A, its cyclic gaps, the largest) per unit pair u, -u, u <= n/2; A non-empty."""
-    memb = _mask_members(mask)
-    for u in units(n):
-        if 2 * u > n:
-            break  # -u was paired with a smaller unit
-        image = sorted([u * a % n for a in memb])
-        # gaps[i]: from the member before image[i] up to image[i]
-        gaps = list(map(sub, image, [image[-1] - n, *image[:-1]]))
-        yield image, gaps, max(gaps)
-
-
-def _gap_rotations(image: list[int], gaps: list[int], g: int, n: int) -> list[int]:
-    """Rotations of u*A and of -u*A that put a member just after a gap g at 0.
-
-    The gap from p up to b in u*A runs from -b up to -p in -u*A.
-    """
-    um = sum(map((1).__lshift__, image))  # distinct members: the sum is their OR
-    neg = negate_mask(um, n)
-    out = []
-    for i, gap in enumerate(gaps):
-        if gap == g:
-            out += rotate_mask(um, -image[i], n), rotate_mask(neg, image[i - 1], n)
-    return out
-
-
-def largest_gap_images(mask: int, n: int) -> list[int]:
-    """Masks of the affine images of A through 0 whose wrap-around gap is largest.
-
-    The image v*A + c through 0 has n - max as a largest gap exactly when
-    it rotates a member just after a largest gap of v*A to 0, for v = u or
-    -u of some pair.  These are the masks of A's class that the exhaustive
-    witness walk can reach.  A must be non-empty; a mask may repeat.
-    """
-    return [m for im, gaps, g in _unit_multiples(mask, n) for m in _gap_rotations(im, gaps, g, n)]
-
-
 class _UnitStack:
     """Stacked unit images of the residues of Z_n, one int per residue met.
 
@@ -161,6 +122,16 @@ class _UnitStack:
     """
 
     __slots__ = ("units", "width", "zeros", "bits", "rows")
+
+    @classmethod
+    def of(cls, n: int) -> "_UnitStack":
+        """The table of Z_n: kept in _STACKS up to STACK_MAX_MODULUS, else built for the call."""
+        stack = _STACKS.get(n)
+        if stack is None:
+            stack = cls(n)
+            if n <= STACK_MAX_MODULUS:
+                _STACKS[n] = stack
+        return stack
 
     def __init__(self, n: int) -> None:
         self.units = [u for u in units(n) if 2 * u <= n]
@@ -205,6 +176,35 @@ def _longest_runs(z: int) -> tuple[int, int]:
     return length, starts
 
 
+def largest_gap_images(mask: int, n: int) -> list[int]:
+    """Masks of the affine images of A through 0 whose wrap-around gap is largest.
+
+    The image v*A + c through 0 has n - max as a largest gap exactly when
+    it rotates a member just after a largest gap of v*A to 0, for v = u or
+    -u of some unit u <= n/2.  These are the masks of A's class that the
+    exhaustive witness walk can reach.  Each field of the stacked images
+    u*A (_UnitStack) gives its own longest zero run, of g - 1 zeros for
+    the largest gap g of u*A; every such run also ends at the copy b + n
+    of the member b after its gap, and those ends are the bits at n..2n-1.
+    A must be non-empty; a mask may repeat.
+    """
+    full = (1 << n) - 1
+    if mask == full:
+        return [full]
+    stack = _UnitStack.of(n)
+    images = stack.images(_mask_members(mask), n)
+    gaps = (images | images << n) ^ stack.zeros
+    w, window = stack.width, (1 << 2 * n) - 1
+    out = []
+    for shift in range(0, w * len(stack.units), w):
+        um = images >> shift & full
+        neg = negate_mask(um, n)
+        run, starts = _longest_runs(gaps >> shift & window)
+        for b in _mask_members(starts >> (n - run) & full):
+            out += rotate_mask(um, -b, n), rotate_mask(neg, b - run - 1, n)
+    return out
+
+
 def canonical_mask(mask: int, n: int) -> int:
     """The least mask of an affine image of A (A non-empty).
 
@@ -213,20 +213,13 @@ def canonical_mask(mask: int, n: int) -> int:
     to 0 has its top element at n - g, for g the gap of u*A before b, and
     masks compare from the top bit.  So the least image starts just after
     a gap g that is largest over all units: b for u, and for -u the member
-    b - g before the gap.  Up to STACK_MAX_MODULUS one longest zero run
-    over the stacked images u*A (_UnitStack) finds g and every such b;
-    above it only the unit pairs whose sorted image has g are rotated.
+    b - g before the gap.  One longest zero run over all fields of the
+    stacked images u*A (_UnitStack) finds g and every such b.
     """
     full = (1 << n) - 1
     if mask == full:
         return full
-    if n > STACK_MAX_MODULUS:
-        pairs = list(_unit_multiples(mask, n))
-        best = max(g for _, _, g in pairs)
-        return min(m for im, gaps, g in pairs if g == best for m in _gap_rotations(im, gaps, g, n))
-    stack = _STACKS.get(n)
-    if stack is None:
-        stack = _STACKS[n] = _UnitStack(n)
+    stack = _UnitStack.of(n)
     images = stack.images(_mask_members(mask), n)
     # a run of g - 1 zeros ends at a member b of u*A, at its copy b + n, or
     # at the guard 2n after n - g = max(u*A): then 0 is b, as g is largest
@@ -245,7 +238,7 @@ def canonical_mask(mask: int, n: int) -> int:
     return best
 
 
-@lru_cache(maxsize=64)  # largest_gap_images walks them on every call
+@lru_cache(maxsize=64)  # a unit stack built per call above STACK_MAX_MODULUS reads them
 def units(n: int) -> tuple[int, ...]:
     """Residues u with gcd(u, n) = 1, i.e. the multiplicative units of Z_n."""
     return tuple(u for u in range(n) if gcd(u, n) == 1)

@@ -27,9 +27,9 @@ child from an explicitly specified xorshift64* generator, and the children
 whose coin is set are walked first, so the first dive builds a random
 half-density set and later dives vary it.  A sampled class is rarely met
 twice, so each witness mask is reduced by canonical_mask instead of
-marking its orbit; up to groups.STACK_MAX_MODULUS that takes one longest
-zero run over all unit images of the mask at once, where the orbit marks
-need every unit pair's own largest gap.  Runs reproduce exactly from
+marking its orbit: that takes one longest zero run over all unit images
+of the mask at once, where the orbit marks need each unit image's own
+largest gap.  Runs reproduce exactly from
 (seed, budget, n_range), and a budget >= 2^(n-1) returns the exhaustive
 classes.
 

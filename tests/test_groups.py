@@ -262,8 +262,8 @@ def test_canonical_mask_matches_images_through_zero_up_to_512():
 
 
 def test_canonical_mask_is_the_least_largest_gap_image():
-    # the stacked images and the per-pair enumeration share no code up to
-    # STACK_MAX_MODULUS, and above it the sorted pairs serve both
+    # both read the stacked unit images, so this checks only that they
+    # agree; the naive oracles check each of them on its own
     rng = random.Random(4064)
     cases = []
     for _ in range(1500):
@@ -291,6 +291,7 @@ def test_unit_stack_tables_stay_under_a_megabyte():
             low = min(n, 64)
             for mask in ((1 << low) - 2, (1 << low) - 2, (1 << (low - 1)) - 1):
                 CyclicSet(n, mask).canonical_form()
+                largest_gap_images(mask, n)
         assert max(groups._STACKS) == groups.STACK_MAX_MODULUS
         assert all(r is not None for s in groups._STACKS.values() for r in s.rows)
         assert sum(map(table_bytes, groups._STACKS.values())) <= 1 << 20
@@ -302,11 +303,21 @@ def test_largest_gap_images_are_the_orbit_masks_the_walk_reaches():
     # images through 0 whose wrap-around gap n - max is at least every
     # internal gap: exactly the masks the exhaustive witness walk visits
     rng = random.Random(14)
+    cases = []
     for _ in range(300):
         n = rng.randrange(1, 25)
         members = random_nonempty_members(rng, n)
+        cases.append((n, members, naive_orbit(members, n)))
+    # the walk's range up to EXHAUSTIVE_CAP (40) and beyond, then moduli
+    # whose unit stack is built per call; the full set, a point, a coset
+    for n in [*range(25, 65), *rng.sample(range(65, 129), 4)]:
+        d = rng.choice([d for d in range(2, n) if n % d == 0] or [n])
+        for members in (range(n), [rng.randrange(n)], range(rng.randrange(d), n, d)):
+            images = set(affine_images_through_zero(mask_of(members, n), n))
+            cases.append((n, members, [members_of(m, n) for m in images]))
+    for n, members, images in cases:
         want = set()
-        for img in naive_orbit(members, n):
+        for img in images:
             b = sorted(img)
             if b[0] == 0 and all(y - x <= n - b[-1] for x, y in zip(b, b[1:])):
                 want.add(mask_of(b, n))

@@ -89,3 +89,18 @@ def test_tool_starts_and_prints_its_usage(tool):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "tool", sorted(p.name for p in TOOLS.glob("bench_*.py") if p.name != "bench_common.py")
+)
+def test_tool_refuses_an_out_file_in_a_missing_directory(tool, tmp_path):
+    # the record is written after every case has run, so the check comes first,
+    # before git resolves the revision (which does not exist here either)
+    out = tmp_path / "missing" / "x.json"
+    proc = subprocess.run([sys.executable, str(TOOLS / tool), "no-such-revision", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage:")
+    assert "does not exist" in proc.stderr
+    assert not out.parent.exists()

@@ -35,12 +35,18 @@ def git(*args: str) -> bytes:
 
 
 def arguments(doc: str, default_out: str) -> tuple[str, Path]:
-    """Parse ``REV [--out FILE]``: (the full sha of REV, the output file)."""
+    """Parse ``REV [--out FILE]``: (the full sha of REV, the output file).
+
+    An ``--out`` in a missing directory is a usage error (exit 2).
+    """
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("rev", help="git revision measured as 'before'")
     parser.add_argument("--out", default=str(ROOT / default_out))
     args = parser.parse_args()
-    return git("rev-parse", args.rev).decode().strip(), Path(args.out)
+    out = Path(args.out)
+    if not out.parent.is_dir():  # the record is written only after every case has run
+        parser.error(f"--out: directory {str(out.parent)!r} does not exist")
+    return git("rev-parse", args.rev).decode().strip(), out
 
 
 def extract_revision(sha: str, dest: Path) -> Path:
