@@ -21,10 +21,10 @@ from .values import Value, set_field
 # Guard against accidental huge allocations; one bit per residue.
 MAX_MODULUS = 1 << 20
 
-# Above STACK_MAX_MODULUS canonical_form sorts phi(n)/2 unit multiples of A
-# (see canonical_mask), so it gets its own cap.  At n = 512 it takes 0.39 / 1.3
-# / 7.6 ms on random sets of 8 / 32 / 256 members (CPython 3.11, 2-vCPU x86-64
-# VM, BENCH_canonical_stack.json).
+# Above STACK_MAX_MODULUS canonical_form builds a table of phi(n)/2 stacked
+# unit images per call (see _UnitStack.of), so it gets its own cap.  At
+# n = 512 it takes 0.46 / 1.7 / 11.7 ms on random sets of 8 / 32 / 256 members
+# (CPython 3.11, 2-vCPU x86-64 VM, BENCH_one_gap_path.json).
 CANONICAL_MAX_MODULUS = 512
 
 # largest_gap_images and canonical_mask read a table of stacked unit images

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+BENCH_TOOLS = sorted(p.name for p in TOOLS.glob("bench_*.py") if p.name != "bench_common.py")
 BEFORE = [0.010 + 0.001 * i for i in range(10)]  # REV's times: quartiles 12.25, 14.5, 16.75 ms
 
 
@@ -80,9 +81,7 @@ def test_alternate_stops_when_the_sides_differ(bench_common):
     assert calls == [0, 0, 1, 1, 2, 2]
 
 
-@pytest.mark.parametrize(
-    "tool", sorted(p.name for p in TOOLS.glob("bench_*.py") if p.name != "bench_common.py")
-)
+@pytest.mark.parametrize("tool", BENCH_TOOLS)
 def test_tool_starts_and_prints_its_usage(tool):
     # in a fresh interpreter, so that a tool importing a helper that is gone fails here
     proc = subprocess.run([sys.executable, str(TOOLS / tool), "--help"],
@@ -91,9 +90,7 @@ def test_tool_starts_and_prints_its_usage(tool):
     assert proc.stdout.startswith("usage:")
 
 
-@pytest.mark.parametrize(
-    "tool", sorted(p.name for p in TOOLS.glob("bench_*.py") if p.name != "bench_common.py")
-)
+@pytest.mark.parametrize("tool", BENCH_TOOLS)
 def test_tool_refuses_an_out_file_in_a_missing_directory(tool, tmp_path):
     # the record is written after every case has run, so the check comes first,
     # before git resolves the revision (which does not exist here either)
