@@ -43,9 +43,10 @@ _LITERAL_RE = re.compile(r"^\s*(\d+)\s*:\s*\{([^{}]*)\}\s*$")
 # users; a dead entry costs one weak reference per modulus ever used.
 _FULL_SETS: dict[int, weakref.ref] = {}
 
-# bytes.translate tables: byte 0/1 to ASCII '0'/'1' and back
+# bytes.translate tables: byte 0/1 to ASCII '0'/'1' and back, and each byte's bits reversed
 _BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class ModulusMismatchError(ValueError):
@@ -115,10 +116,10 @@ class _UnitStack:
     Field i of the ``width``-bit fields belongs to the i-th unit u <= n/2
     and holds u*a in row a, so OR-ing the rows of A's members gives every
     u*A at once.  A field has room for the image, a copy of it n bits
-    higher (so every cyclic gap shows as a run of zeros) and guard bits;
-    ``zeros`` has the 2n image and copy bits of every field set.  A row is
-    built from ``bits``, one field's x per residue x, when a call first
-    meets its residue.
+    higher (so every cyclic gap is a run of zeros and every rotation of
+    u*A an n-bit window) and guard bits; ``zeros`` has the 2n image and
+    copy bits of every field set.  A row is built from ``bits``, one
+    field's x per residue x, when a call first meets its residue.
     """
 
     __slots__ = ("units", "width", "zeros", "bits", "rows")
@@ -126,32 +127,30 @@ class _UnitStack:
     @classmethod
     def of(cls, n: int) -> "_UnitStack":
         """The table of Z_n: kept in _STACKS up to STACK_MAX_MODULUS, else built for the call."""
-        stack = _STACKS.get(n)
-        if stack is None:
-            stack = cls(n)
-            if n <= STACK_MAX_MODULUS:
-                _STACKS[n] = stack
+        stack = _STACKS.get(n) or cls(n)
+        if n <= STACK_MAX_MODULUS:
+            _STACKS[n] = stack
         return stack
 
     def __init__(self, n: int) -> None:
         self.units = [u for u in units(n) if 2 * u <= n]
         nbytes = (2 * n + 8) >> 3  # at least one guard bit
         self.width = 8 * nbytes
-        image_bits = ((1 << 2 * n) - 1).to_bytes(nbytes, "little")
-        self.zeros = int.from_bytes(image_bits * len(self.units), "little")
+        self.zeros = int.from_bytes(((1 << 2 * n) - 1).to_bytes(nbytes, "little") * len(self.units), "little")
         self.bits = [(1 << x).to_bytes(nbytes, "little") for x in range(n)]
         self.rows: list[int | None] = [None] * n
 
     def images(self, members: tuple[int, ...], n: int) -> int:
-        """The fields of every u*A for A = members."""
+        """D: the fields of every u*A for A = members, each with its copy."""
         rows, bits, units = self.rows, self.bits, self.units
         out = 0
         for a in members:
-            row = rows[a]
-            if row is None:
-                row = rows[a] = int.from_bytes(b"".join([bits[u * a % n] for u in units]), "little")
+            if (row := rows[a]) is None:
+                row = int.from_bytes(b"".join([bits[u * a % n] for u in units]), "little")
+                if n <= STACK_MAX_MODULUS:  # a table built per call keeps no row
+                    rows[a] = row
             out |= row
-        return out
+        return out | out << n
 
 
 def _longest_runs(z: int) -> tuple[int, int]:
@@ -182,26 +181,29 @@ def largest_gap_images(mask: int, n: int) -> list[int]:
     The image v*A + c through 0 has n - max as a largest gap exactly when
     it rotates a member just after a largest gap of v*A to 0, for v = u or
     -u of some unit u <= n/2.  These are the masks of A's class that the
-    exhaustive witness walk can reach.  Each field of the stacked images
-    u*A (_UnitStack) gives its own longest zero run, of g - 1 zeros for
-    the largest gap g of u*A; every such run also ends at the copy b + n
-    of the member b after its gap, and those ends are the bits at n..2n-1.
-    A must be non-empty; a mask may repeat.
+    exhaustive witness walk can reach.  In each field of the stacked
+    images D (_UnitStack.images) the longest zero runs, of g - 1 zeros for
+    the largest gap g of u*A, that end at bits n..2n-1 end at the copy of
+    each member b after such a gap.  The image for u is D's n-bit window
+    at b; the one for -u, which puts b - g at 0, is a window of D's bit
+    reversal.  A must be non-empty; a mask may repeat.
     """
     full = (1 << n) - 1
     if mask == full:
         return [full]
     stack = _UnitStack.of(n)
-    images = stack.images(_mask_members(mask), n)
-    gaps = (images | images << n) ^ stack.zeros
+    doubled = stack.images(_mask_members(mask), n)
+    gaps = doubled ^ stack.zeros
     w, window = stack.width, (1 << 2 * n) - 1
+    top = w * len(stack.units)
+    # D reversed: its bytes in reverse order, each with its bits reversed
+    mirror = int.from_bytes(doubled.to_bytes(top >> 3, "little").translate(_REVERSED_BYTES), "big")
     out = []
-    for shift in range(0, w * len(stack.units), w):
-        um = images >> shift & full
-        neg = negate_mask(um, n)
+    for shift in range(0, top, w):
         run, starts = _longest_runs(gaps >> shift & window)
+        low = top - shift - 2 * n  # the field's bit 2n - 1, in the mirror
         for b in _mask_members(starts >> (n - run) & full):
-            out += rotate_mask(um, -b, n), rotate_mask(neg, b - run - 1, n)
+            out += doubled >> (shift + b) & full, mirror >> (low + (run - b) % n) & full
     return out
 
 
@@ -214,27 +216,25 @@ def canonical_mask(mask: int, n: int) -> int:
     masks compare from the top bit.  So the least image starts just after
     a gap g that is largest over all units: b for u, and for -u the member
     b - g before the gap.  One longest zero run over all fields of the
-    stacked images u*A (_UnitStack) finds g and every such b.
+    stacked images D finds g and every such b; the images are windows of
+    D and of its fields' bit reversals (see largest_gap_images).
     """
     full = (1 << n) - 1
     if mask == full:
         return full
     stack = _UnitStack.of(n)
-    images = stack.images(_mask_members(mask), n)
-    # a run of g - 1 zeros ends at a member b of u*A, at its copy b + n, or
-    # at the guard 2n after n - g = max(u*A): then 0 is b, as g is largest
-    run, starts = _longest_runs((images | images << n) ^ stack.zeros)
-    ends: dict[int, set[int]] = {}
+    doubled = stack.images(_mask_members(mask), n)
+    # a run of g - 1 zeros ends at b, at b + n, or at the guard 2n if n - g = max(u*A) and b = 0
+    run, starts = _longest_runs(doubled ^ stack.zeros)
     w = stack.width
-    for x in _mask_members(starts):
+    best, field = full, -1
+    for x in _mask_members(starts):  # fields in increasing order
         i, b = divmod(x + run, w)
-        ends.setdefault(i, set()).add(b % n)
-    best = full
-    for i, bs in ends.items():
-        um = images >> (i * w) & full
-        neg = negate_mask(um, n)
-        for b in bs:
-            best = min(best, rotate_mask(um, -b, n), rotate_mask(neg, b - run - 1, n))
+        if i != field:  # reverse only the fields that hold a largest gap
+            field, raw = i, (doubled >> i * w & (1 << w) - 1).to_bytes(w >> 3, "little")
+            mirror = int.from_bytes(raw.translate(_REVERSED_BYTES), "big")
+        b %= n
+        best = min(best, doubled >> (i * w + b) & full, mirror >> (w - 2 * n + (run - b) % n) & full)
     return best
 
 

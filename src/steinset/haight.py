@@ -27,11 +27,11 @@ child from an explicitly specified xorshift64* generator, and the children
 whose coin is set are walked first, so the first dive builds a random
 half-density set and later dives vary it.  A sampled class is rarely met
 twice, so each witness mask is reduced by canonical_mask instead of
-marking its orbit: that takes one longest zero run over all unit images
-of the mask at once, where the orbit marks need each unit image's own
-largest gap.  Runs reproduce exactly from
-(seed, budget, n_range), and a budget >= 2^(n-1) returns the exhaustive
-classes.
+marking its orbit: both read each image as a window of the stacked unit
+images, but it takes one longest zero run over all of them at once, where
+the marks need each unit image's own largest gap.  Runs reproduce exactly
+from (seed, budget, n_range), and a budget >= 2^(n-1) returns the
+exhaustive classes.
 
 Neither mode re-checks the walk's output, whose A - A and kA are exact.
 verify_witness checks a witness from a file or the store from scratch,

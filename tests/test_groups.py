@@ -299,6 +299,42 @@ def test_unit_stack_tables_stay_under_a_megabyte():
         groups._STACKS.clear()
 
 
+def test_canonical_form_above_the_stack_cap_keeps_no_rows():
+    # a table built for one call at n = 512 drops each 16 KB row once read;
+    # keeping all 256 rows took 4.6 MB
+    import tracemalloc
+
+    n = 512
+    s = CyclicSet.from_members(n, random.Random(512).sample(range(n), 256))
+    tracemalloc.start()
+    try:
+        got = s.canonical_form()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.mask == min(affine_images_through_zero(s.mask, n))
+    assert peak < 1 << 20
+
+
+def _walk_images(mask, n):
+    """The images through 0 whose wrap-around gap n - max is at least every internal gap."""
+    want = set()
+    for img in affine_images_through_zero(mask, n):
+        b = sorted(members_of(img, n))
+        if all(y - x <= n - b[-1] for x, y in zip(b, b[1:])):
+            want.add(img)
+    return want
+
+
+def test_labellers_match_the_oracles_on_every_mask_up_to_11():
+    # both labellers read each image as a window next to the copy and guard
+    # bits of a stacked field; every mask at these moduli meets every offset
+    for n in range(1, 12):
+        for mask in range(1, 1 << n):
+            assert canonical_mask(mask, n) == naive_canonical_mask(members_of(mask, n), n), (n, mask)
+            assert set(largest_gap_images(mask, n)) == _walk_images(mask, n), (n, mask)
+
+
 def test_largest_gap_images_are_the_orbit_masks_the_walk_reaches():
     # images through 0 whose wrap-around gap n - max is at least every
     # internal gap: exactly the masks the exhaustive witness walk visits

@@ -2,9 +2,10 @@
 
 Runs two copies of the library in one interpreter: the source of a given
 git revision (the base of the change) and ``src/`` of the working tree.
-Every case runs ROUNDS alternated rounds (``bench_common.alternate``),
-checks that both copies give the same results, and is judged by
-``bench_common.summary``.  Four parts:
+Every case runs ROUNDS alternated rounds (SCAN_ROUNDS for the k=2 scans,
+``bench_common.alternate``), checks that both copies give the same
+results, and is judged by
+``bench_common.summary``.  Five parts:
 
 * ``CyclicSet.canonical_form`` per call on a fixed seeded grid of random
   sets (n = 24, 48, 64, 128, 512, sizes from 8 to n/2): warm, the median
@@ -16,7 +17,12 @@ checks that both copies give the same results, and is judged by
 * ``groups.canonical_mask`` per node of the exhaustive witness walk
   (_walk_nodes) at (k, n) = (3, 24), (3, 30), (4, 36), (4, 40), every
   node labelled once per round;
-* ``haight.exhaustive_search`` at one modulus per case.
+* ``groups.largest_gap_images`` (the walk's orbit marks) per call, on the
+  first witness mask of each class that the k=2 exhaustive walk meets at
+  n = 10..17, the calls of the ``search`` workload's k=2 scans: per modulus
+  and all together, each call MARK_REPEATS times per round;
+* ``haight.exhaustive_search`` at one modulus per case, over SCAN_ROUNDS
+  rounds at k=2, whose scans vary the most against their gains.
 
     python tools/bench_gap_cut.py REV [--out FILE]
 
@@ -35,12 +41,15 @@ from pathlib import Path
 from bench_common import alternate, arguments, load_copies, summary, write_record
 
 ROUNDS = 10  # alternated rounds per case, as many as summary's 9-in-10 rule counts
+SCAN_ROUNDS = 20  # for the k=2 scans, where 10 rounds did not resolve a 5-15% change
 CANONICAL_MODULI = (24, 48, 64, 128, 512)
 CANONICAL_SETS = 50  # random sets per (n, size) case, each reduced once per round
 FIRST_CALLS = 41  # cold first calls per canonical_form case and side
 WALK_CASES = [(3, (24, 24), 2500), (2, (22, 24), 700)]  # (k, n_range, budget)
 WALK_SEEDS = range(1, 21)  # seeds per seeded walk case, all in one timed call
 NODE_CASES = ((3, 24), (3, 30), (4, 36), (4, 40))
+MARK_RANGE = (10, 17)  # k=2 moduli whose first witness mask per class is marked
+MARK_REPEATS = 20
 CASES = [(2, 20), (2, 22), (2, 24), (3, 24), (3, 30), (3, 36), (4, 36), (4, 40)]
 
 
@@ -115,6 +124,34 @@ def _label(groups, nodes: list[int], n: int) -> tuple[int, float]:
     return hash(tuple(labels)), (time.perf_counter() - start) / len(nodes)
 
 
+def _mark_calls(haight) -> list[tuple[int, int]]:
+    """(mask, n) of every groups.largest_gap_images call of a k=2 exhaustive
+    search over MARK_RANGE: the first witness mask of each class it meets."""
+    calls = []
+    marks = haight.largest_gap_images
+
+    def recorded(mask: int, n: int) -> list[int]:
+        calls.append((mask, n))
+        return marks(mask, n)
+
+    haight.largest_gap_images = recorded
+    try:
+        haight.exhaustive_search(haight.SearchConfig(k=2, n_range=MARK_RANGE))
+    finally:
+        haight.largest_gap_images = marks
+    return calls
+
+
+def _marks(groups, calls: list[tuple[int, int]]) -> tuple[int, float]:
+    """A hash of the mark sets of ``calls``, and the wall time per call over MARK_REPEATS passes."""
+    largest_gap_images = groups.largest_gap_images
+    start = time.perf_counter()
+    for _ in range(MARK_REPEATS):
+        images = [largest_gap_images(mask, n) for mask, n in calls]
+    seconds = (time.perf_counter() - start) / (MARK_REPEATS * len(calls))
+    return hash(tuple(map(frozenset, images))), seconds
+
+
 def _scan(haight, k: int, n: int) -> tuple[tuple[int, ...], float]:
     """Canonical class masks of one exhaustive search at modulus n, and its wall time."""
     cfg = haight.SearchConfig(k=k, n_range=(n, n))
@@ -131,7 +168,7 @@ def _report(what: str, case: dict, unit: str) -> None:
 
 def main() -> None:
     before_sha, out = arguments(__doc__, "BENCH_gap_cut.json")
-    canonical_cases, walk_cases, node_cases, cases = [], [], [], []
+    canonical_cases, walk_cases, node_cases, mark_cases, cases = [], [], [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         haights, groups = load_copies(before_sha, Path(tmp), "haight", "groups")
 
@@ -163,28 +200,39 @@ def main() -> None:
             node_cases.append(case)
             _report(f"labelling k={k} n={n} {len(nodes):>7} nodes", case, "us/node")
 
+        calls = _mark_calls(haights[1])
+        for lo, hi in [(n, n) for n in range(MARK_RANGE[0], MARK_RANGE[1] + 1)] + [MARK_RANGE]:
+            part = [(mask, n) for mask, n in calls if lo <= n <= hi]
+            _, times = alternate(lambda i, rnd: _marks(groups[i], part), ROUNDS)
+            case = {"n_range": [lo, hi], "calls": len(part), **summary(times, 1e6, 1)}
+            mark_cases.append(case)
+            _report(f"orbit marks n={lo}..{hi} {len(part):>4} calls", case, "us/call")
+
         for k, n in CASES:
-            (masks, *_), times = alternate(lambda i, rnd: _scan(haights[i], k, n), ROUNDS)
-            case = {"k": k, "n": n, "classes": len(masks), **summary(times, 1, 4)}
+            rounds = SCAN_ROUNDS if k == 2 else ROUNDS
+            (masks, *_), times = alternate(lambda i, rnd: _scan(haights[i], k, n), rounds)
+            case = {"k": k, "n": n, "classes": len(masks), "rounds": rounds, **summary(times, 1, 4)}
             cases.append(case)
             _report(f"k={k} n={n:>2} {len(masks):>6} classes", case, "s")
 
     write_record(
         out, before_sha,
-        "L0 CyclicSet.canonical_form and groups.canonical_mask, "
+        "L0 CyclicSet.canonical_form, groups.canonical_mask and largest_gap_images, "
         "L3 haight.stochastic_search and exhaustive_search",
         method=(
             f"bench_common.summary of {ROUNDS} alternated rounds in one interpreter: "
             f"{CANONICAL_SETS} canonical_form calls (times per call), and apart from them "
             f"{FIRST_CALLS} first calls with emptied caches, one per set, per grid case; one call "
             f"of {len(WALK_SEEDS)} seeded searches per seeded walk case; every walk node labelled "
-            "once per labelling case; one scan per exhaustive case"
+            f"once per labelling case; every orbit-mark call {MARK_REPEATS} times per marks case; "
+            f"one scan per exhaustive case, over {SCAN_ROUNDS} rounds at k=2"
         ),
         units={"canonical_form": "us per call", "seeded_walk": "ms per call",
-               "labelling": "us per node", "cases": "s per scan"},
+               "labelling": "us per node", "orbit_marks": "us per call", "cases": "s per scan"},
         canonical_form=canonical_cases,
         seeded_walk=walk_cases,
         labelling=node_cases,
+        orbit_marks=mark_cases,
         cases=cases,
     )
 
