@@ -23,8 +23,8 @@ MAX_MODULUS = 1 << 20
 
 # Above STACK_MAX_MODULUS canonical_form builds a table of phi(n)/2 stacked
 # unit images per call (see _UnitStack.of), so it gets its own cap.  At
-# n = 512 it takes 0.46 / 1.7 / 11.7 ms on random sets of 8 / 32 / 256 members
-# (CPython 3.11, 2-vCPU x86-64 VM, BENCH_one_gap_path.json).
+# n = 512 it takes 0.42 / 1.7 / 6.2 ms on random sets of 8 / 32 / 256 members
+# (CPython 3.11, 2-vCPU x86-64 VM, BENCH_label_windows.json).
 CANONICAL_MAX_MODULUS = 512
 
 # largest_gap_images and canonical_mask read a table of stacked unit images
@@ -224,7 +224,7 @@ def canonical_mask(mask: int, n: int) -> int:
         return full
     stack = _UnitStack.of(n)
     doubled = stack.images(_mask_members(mask), n)
-    # a run of g - 1 zeros ends at b, at b + n, or at the guard 2n if n - g = max(u*A) and b = 0
+    # a run of g - 1 zeros ends at b, at its copy b + n or, for b = 0, at the guard 2n
     run, starts = _longest_runs(doubled ^ stack.zeros)
     w = stack.width
     best, field = full, -1

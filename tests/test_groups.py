@@ -301,7 +301,7 @@ def test_unit_stack_tables_stay_under_a_megabyte():
 
 def test_canonical_form_above_the_stack_cap_keeps_no_rows():
     # a table built for one call at n = 512 drops each 16 KB row once read;
-    # keeping all 256 rows took 4.6 MB
+    # keeping all 256 rows peaked at 4.7 MB
     import tracemalloc
 
     n = 512

@@ -287,6 +287,19 @@ def test_labelling_benchmark_walks_the_walk_it_measures(monkeypatch):
         assert classes and sorted(labels) == classes, (k, n)
 
 
+def test_marks_benchmark_records_the_search_workloads_mark_calls(monkeypatch):
+    # tools/bench_gap_cut.py times largest_gap_images on the calls that the
+    # k=2 scans at n = 10..17 make: one per class, and the walk left as it was
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    from bench_gap_cut import _mark_calls
+
+    calls = _mark_calls(haight)
+    assert haight.largest_gap_images is largest_gap_images
+    classes = {(w.modulus, w.subset.mask) for w in exhaustive_search(SearchConfig(k=2, n_range=(10, 17)))}
+    assert sorted((n, canonical_mask(mask, n)) for mask, n in calls) == sorted(classes)
+    assert [sum(1 for _, n in calls if n == m) for m in range(10, 18)] == [5, 4, 23, 11, 42, 58, 113, 89]
+
+
 def test_divisor_pin_and_gap_cut_do_not_combine():
     # each cut alone keeps an image of {0,3,4,5,6,9} mod 14 through 0,
     # but no image has both a divisor of 14 as least nonzero member and

@@ -4,8 +4,7 @@ Runs two copies of the library in one interpreter: the source of a given
 git revision (the base of the change) and ``src/`` of the working tree.
 Every case runs ROUNDS alternated rounds (SCAN_ROUNDS for the k=2 scans,
 ``bench_common.alternate``), checks that both copies give the same
-results, and is judged by
-``bench_common.summary``.  Five parts:
+results, and is judged by ``bench_common.summary``.  Five parts:
 
 * ``CyclicSet.canonical_form`` per call on a fixed seeded grid of random
   sets (n = 24, 48, 64, 128, 512, sizes from 8 to n/2): warm, the median
