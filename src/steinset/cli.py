@@ -179,7 +179,7 @@ def cmd_example_c2n1(args) -> int:
 
 def _producer(args, **extra) -> dict:
     # a new key also goes in store._PRODUCER_FIELDS
-    return {"version": __version__, "seed": args.seed, **extra}
+    return {"version": __version__, **extra}
 
 
 def _emit_witness_records(args, witnesses, producer: dict, store: bool) -> None:
@@ -210,7 +210,7 @@ def cmd_haight_search(args) -> int:
         n_range=(lo, hi),
         mode=args.mode,
         budget=args.budget,
-        seed=args.search_seed if args.search_seed is not None else args.seed,
+        seed=args.seed,
         max_set_size=args.max_set_size,
     )
     search = exhaustive_search if args.mode == "exhaustive" else stochastic_search
@@ -407,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"result store directory (default: ${STORE_DIR_ENV} or ./{DEFAULT_STORE_DIR})",
     )
     parser.add_argument("--output", choices=("table", "structured"), default="table")
-    parser.add_argument("--seed", type=int, default=0, help="default search seed")
     parser.add_argument(
         "--no-timestamp", action="store_true", help="record created_at=0 (reproducible output)"
     )
@@ -449,9 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stochastic mode only: child evaluations per modulus; a budget "
         ">= 2^(n-1) gives the exhaustive result",
     )
-    p.add_argument(
-        "--seed", type=int, default=None, dest="search_seed", help="overrides the global --seed"
-    )
+    p.add_argument("--seed", type=int, default=0, help="stochastic mode only: seed of the coin draws")
     p.add_argument("--max-set-size", type=int, default=None)
     p.add_argument("--no-store", action="store_true")
     p.set_defaults(func=cmd_haight_search)

@@ -104,10 +104,18 @@ def _mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _reverse_bits(mask: int, width: int) -> int:
+    """``mask``, of at most ceil(width/8) bytes, with bit r moved to width - 1 - r
+    (bits from ``width`` up are dropped)."""
+    nbytes = (width + 7) >> 3
+    rev = int.from_bytes(mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTES), "big")
+    return rev >> (8 * nbytes - width)
+
+
 def negate_mask(mask: int, n: int) -> int:
     """Mask of -A = {-a mod n : a in A}."""
     # bit reversal maps r to n-1-r; rotating by one then gives n-r mod n
-    return rotate_mask(int(format(mask, f"0{n}b")[::-1], 2), 1, n)
+    return rotate_mask(_reverse_bits(mask, n), 1, n)
 
 
 class _UnitStack:
@@ -196,8 +204,7 @@ def largest_gap_images(mask: int, n: int) -> list[int]:
     gaps = doubled ^ stack.zeros
     w, window = stack.width, (1 << 2 * n) - 1
     top = w * len(stack.units)
-    # D reversed: its bytes in reverse order, each with its bits reversed
-    mirror = int.from_bytes(doubled.to_bytes(top >> 3, "little").translate(_REVERSED_BYTES), "big")
+    mirror = _reverse_bits(doubled, top)
     out = []
     for shift in range(0, top, w):
         run, starts = _longest_runs(gaps >> shift & window)
@@ -231,8 +238,7 @@ def canonical_mask(mask: int, n: int) -> int:
     for x in _mask_members(starts):  # fields in increasing order
         i, b = divmod(x + run, w)
         if i != field:  # reverse only the fields that hold a largest gap
-            field, raw = i, (doubled >> i * w & (1 << w) - 1).to_bytes(w >> 3, "little")
-            mirror = int.from_bytes(raw.translate(_REVERSED_BYTES), "big")
+            field, mirror = i, _reverse_bits(doubled >> i * w & (1 << w) - 1, w)
         b %= n
         best = min(best, doubled >> (i * w + b) & full, mirror >> (w - 2 * n + (run - b) % n) & full)
     return best

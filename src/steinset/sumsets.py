@@ -14,8 +14,8 @@ Two interchangeable kernels compute A + B = {a + b mod n : a in A, b in B}:
   coefficient exceeds m < 256^w and fields never carry into each other.
   Below 256 members w = 1.
 
-``sumset`` and its raw-mask form ``sumset_mask`` share one dispatch rule,
-applied in three steps:
+``sumset_mask`` applies one dispatch rule to raw masks, in three steps;
+``sumset`` checks its operands and runs it:
 
 1. Rule.  A full operand gives Z_n at once (Z_n + B = Z_n).  Otherwise
    the convolution kernel is the candidate when m > w*n / F + F with
@@ -55,9 +55,8 @@ one residue) take 0.89x-1.11x their time before the probe.
 
 The products kA, plus*A + minus*(-A) and m(A u -A) share one raw-mask
 core, ``kfold_mask`` (doubling on ``sumset_mask``, exiting once full),
-which ``haight`` calls too.  Only ``sumset`` calls the public kernels
-``sumset_shift_or`` / ``sumset_convolution``, so tools/bench_sumset.py and
-perfbench/tracing.py, which wrap them, learn which kernel ran.
+which ``haight`` calls too.  The public kernels ``sumset_shift_or`` and
+``sumset_convolution`` run one kernel each, whatever the rule says.
 
 The test suite cross-checks the two kernels bit for bit.  Empty operands
 are rejected rather than propagated: a silently empty sumset usually
@@ -68,9 +67,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .groups import CyclicSet, EmptySetError, ModulusMismatchError, negate_mask, rotate_mask
+from .groups import _DIGIT_TO_BYTE, CyclicSet, EmptySetError, ModulusMismatchError, negate_mask, rotate_mask
 
-# Dispatch constant of ``sumset``; see the module docstring for the rule.
+# Dispatch constant of ``sumset_mask``; see the module docstring for the rule.
 CONVOLUTION_FACTOR = 8
 
 
@@ -106,8 +105,7 @@ def sumset_shift_or(a: CyclicSet, b: CyclicSet) -> CyclicSet:
     return _result(n, _shift_or(a.mask, b.mask, n))
 
 
-# bytes.translate tables: ASCII '0'/'1' to byte 0/1, and any byte to '0'/'1'.
-_BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+# bytes.translate table: any byte to ASCII '0'/'1'
 _NONZERO_TO_BIT = b"0" + b"1" * 255
 
 
@@ -118,7 +116,7 @@ def _field_width(m: int) -> int:
 
 def _packed(mask: int, n: int, w: int) -> int:
     """Indicator polynomial of ``mask``: coefficient of 256^(w*r) is bit r."""
-    bits = format(mask, f"0{n}b")[::-1].encode().translate(_BIT_TO_BYTE)
+    bits = format(mask, f"0{n}b")[::-1].encode().translate(_DIGIT_TO_BYTE)
     buf = bytearray(w * n)
     buf[0::w] = bits
     return int.from_bytes(buf, "little")
@@ -149,8 +147,6 @@ def _convolution_pays(m: int, n: int) -> bool:
     return CONVOLUTION_FACTOR * (m - CONVOLUTION_FACTOR) > _field_width(m) * n
 
 
-# Routes of the dispatch rule ``_route``.
-_SHIFT_OR, _CONVOLUTION, _FULL = range(3)
 # The saturation probe must halve the uncovered count every _STALL_WINDOW
 # rotations on average, or it gives up.
 _STALL_WINDOW = 4
@@ -193,42 +189,24 @@ def _rotations_cover(small: int, big: int, n: int, budget: int) -> bool:
     return False
 
 
-def _route(a: int, b: int, n: int) -> int:
-    """The dispatch rule on raw non-empty masks: _FULL when A + B = Z_n is
-    already known, else the kernel that computes it."""
+def sumset_mask(a: int, b: int, n: int) -> int:
+    """A + B on raw non-empty masks of Z_n: Z_n when a full operand or the
+    saturation probe shows it, else the shift-or or convolution kernel."""
     ca, cb = a.bit_count(), b.bit_count()
     if ca == n or cb == n:
-        return _FULL
+        return (1 << n) - 1
     small, big, m = (a, b, ca) if ca <= cb else (b, a, cb)
     if not _convolution_pays(m, n):
-        return _SHIFT_OR
+        return _shift_or(a, b, n)
     if _rotations_cover(small, big, n, _probe_budget(m, n)):
-        return _FULL
-    return _CONVOLUTION
-
-
-def sumset_mask(a: int, b: int, n: int) -> int:
-    """A + B on raw non-empty masks of Z_n, routed as ``sumset`` routes it."""
-    route = _route(a, b, n)
-    if route == _FULL:
         return (1 << n) - 1
-    if route == _CONVOLUTION:
-        return _convolution(a, b, n)
-    return _shift_or(a, b, n)
+    return _convolution(a, b, n)
 
 
 def sumset(a: CyclicSet, b: CyclicSet) -> CyclicSet:
-    """A + B: Z_n when a full operand or the saturation probe shows it, else
-    the shift-or or convolution kernel."""
-    # calls the public kernels rather than sumset_mask, so a profiler or
-    # perfbench/tracing.py still sees which kernel ran
+    """A + B, by the dispatch rule of ``sumset_mask``."""
     n = _check_operands(a, b)
-    route = _route(a.mask, b.mask, n)
-    if route == _FULL:
-        return CyclicSet.full(n)
-    if route == _CONVOLUTION:
-        return sumset_convolution(a, b)
-    return sumset_shift_or(a, b)
+    return _result(n, sumset_mask(a.mask, b.mask, n))
 
 
 def kfold_mask(a: int, k: int, n: int) -> int:

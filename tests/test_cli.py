@@ -301,7 +301,7 @@ def test_store_dir_env_var(capsys, tmp_path, monkeypatch):
 
 # Golden bytes for the structured output and the stored record of each
 # command that writes a verdict or xi record; these pin both formats.
-_PRODUCER = '"producer":{"seed":0,"version":"0.1.0"}}'
+_PRODUCER = '"producer":{"version":"0.1.0"}}'
 GOLDEN_RECORDS = [
     pytest.param(
         ("verdict-pm", "prefix=[5:{0};7:{0,1,3}] cycle=[7:{0,1,3};13:{0,1,3,9}]", "2"),
@@ -472,7 +472,7 @@ def test_golden_set_command_usage_errors(capsys, monkeypatch, argv, err):
 GOLDEN_HELP = {
     (): """\
 usage: steinset [-h] [--version] [--store-dir STORE_DIR]
-                [--output {table,structured}] [--seed SEED] [--no-timestamp]
+                [--output {table,structured}] [--no-timestamp]
                 {sumset,ksum,signed,pm,verdict-eps,verdict-pm,verdict-sym,example-c2n1,haight,lemma1,store}
                 ...
 
@@ -501,7 +501,6 @@ options:
                         result store directory (default: $STEINSET_STORE_DIR
                         or ./steinset-store)
   --output {table,structured}
-  --seed SEED           default search seed
   --no-timestamp        record created_at=0 (reproducible output)
 """,
     **{

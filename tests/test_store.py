@@ -381,8 +381,8 @@ def test_a_line_that_is_not_utf8_is_one_malformed_line(tmp_path):
 
 # every store-writing command, covering each producer and payload shape
 _STORE_WRITERS = [
-    ("haight", "minimal", "2", "--cap", "10"),  # producer: mode, k, no budget
-    ("--seed", "4", "haight", "search", "2", "--n-range", "7..7", "--mode", "stochastic",
+    ("haight", "minimal", "2", "--cap", "10"),  # producer: mode, k, no budget or seed
+    ("haight", "search", "2", "--seed", "4", "--n-range", "7..7", "--mode", "stochastic",
      "--budget", "300", "--max-set-size", "3"),
     ("haight", "search", "2", "--n-range", "8..8"),
     ("verdict-eps", "prefix=[4:{0}] cycle=[7:{0,1,6};5:{0,1}]", "++", "--store"),  # fails

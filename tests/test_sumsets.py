@@ -243,10 +243,11 @@ def test_kernels_on_tiny_moduli_and_aliased_operands():
 def test_dispatch_threshold(n, last_shift_or, monkeypatch):
     assert CONVOLUTION_FACTOR == 8
     calls = []
+    convolution = sumsets._convolution
     monkeypatch.setattr(
         sumsets,
-        "sumset_convolution",
-        lambda a, b: calls.append((a, b)) or sumset_convolution(a, b),
+        "_convolution",
+        lambda a, b, n: calls.append((a, b)) or convolution(a, b, n),
     )
     rng = random.Random(n)
     for size, uses_convolution in ((last_shift_or, False), (last_shift_or + 1, True)):

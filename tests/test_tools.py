@@ -1,5 +1,7 @@
-"""The benchmark tools under tools/: their shared A/B rule, and that each one starts."""
+"""The benchmark tools under tools/: their shared A/B rule, that each one starts,
+and the kernel labels of bench_sumset."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -101,3 +103,24 @@ def test_tool_refuses_an_out_file_in_a_missing_directory(tool, tmp_path):
     assert proc.stderr.startswith("usage:")
     assert "does not exist" in proc.stderr
     assert not out.parent.exists()
+
+
+@pytest.fixture
+def working_tree_copy(bench_common):
+    """``sumsets`` and ``groups`` of ``src/``, imported as a package of their own."""
+    name = "steinset_tools_test"
+    bench_common._load(bench_common.ROOT / "src", name)
+    yield [importlib.import_module(f"{name}.{module}") for module in ("sumsets", "groups")]
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+
+
+def test_bench_sumset_labels_the_kernel_that_sumset_ran(working_tree_copy):
+    import bench_sumset
+
+    side = bench_sumset._Side(*working_tree_copy)
+    sparse = [side.CyclicSet(1000, mask) for mask in (0b100011, 1 | 1 << 10)]
+    assert side.kernel(*sparse) == "shift_or"
+    interval = [side.CyclicSet(4096, mask) for mask in bench_sumset._operands("interval self-sum", 4096)]
+    assert side.kernel(*interval) == "convolution"
+    assert side.kernel(side.CyclicSet.full(1000), sparse[0]) == "none"

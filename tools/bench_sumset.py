@@ -3,9 +3,11 @@
 Times ``steinset.sumsets.sumset`` on a fixed grid of moduli and operand
 families with two copies of the library in one interpreter: the source
 of a given git revision (the base of the change) and ``src/`` of the
-working tree.  For every case it records which kernel each copy ran and
-times REPS alternated rounds of one call a side, judged by
-``bench_common.summary`` in milliseconds; it writes one JSON file:
+working tree.  For every case it records which kernel each copy ran, by
+wrapping the raw-mask kernels ``_shift_or`` and ``_convolution`` that
+every sumset path ends in, and times REPS alternated rounds of one call a
+side, judged by ``bench_common.summary`` in milliseconds; it writes one
+JSON file:
 
     python tools/bench_sumset.py REV [--out FILE]
 
@@ -42,16 +44,20 @@ def _operands(family: str, n: int) -> tuple[int, int]:
 
 
 class _Side:
-    """One copy of the library, with its kernel calls recorded."""
+    """One copy of the library, with its kernel calls recorded.
+
+    The raw-mask kernels ``_shift_or`` and ``_convolution`` are wrapped:
+    the dispatcher ``sumset_mask`` and the public kernels all call them.
+    """
 
     def __init__(self, sumsets, groups):
         self.sumsets = sumsets
         self.CyclicSet = groups.CyclicSet
         self.ran: list[str] = []
-        for name in ("sumset_shift_or", "sumset_convolution"):
+        for name in ("_shift_or", "_convolution"):
             kernel = getattr(self.sumsets, name)
             setattr(self.sumsets, name,
-                    lambda a, b, k=kernel, tag=name[7:]: self.ran.append(tag) or k(a, b))
+                    lambda a, b, n, k=kernel, tag=name[1:]: self.ran.append(tag) or k(a, b, n))
 
     def kernel(self, a, b) -> str:
         """The kernel that sumset runs ('none' if the dispatcher answers alone)."""
