@@ -44,11 +44,7 @@ def _operands(family: str, n: int) -> tuple[int, int]:
 
 
 class _Side:
-    """One copy of the library, with its kernel calls recorded.
-
-    The raw-mask kernels ``_shift_or`` and ``_convolution`` are wrapped:
-    the dispatcher ``sumset_mask`` and the public kernels all call them.
-    """
+    """One copy of the library, with its raw-mask kernel calls recorded."""
 
     def __init__(self, sumsets, groups):
         self.sumsets = sumsets
