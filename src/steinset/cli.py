@@ -147,7 +147,7 @@ def cmd_verdict(args) -> int:
     if args.store:
         from .store import make_verdict_record
 
-        record = make_verdict_record(op, spec, param, verdict, producer=_producer(args), created_at=_timestamp(args))
+        record = make_verdict_record(op, spec, param, verdict, producer=_producer(), created_at=_timestamp(args))
         _open_store(args).append(record)
     return 0
 
@@ -177,7 +177,7 @@ def cmd_example_c2n1(args) -> int:
     return 0
 
 
-def _producer(args, **extra) -> dict:
+def _producer(**extra) -> dict:
     # a new key also goes in store._PRODUCER_FIELDS
     return {"version": __version__, **extra}
 
@@ -216,7 +216,7 @@ def cmd_haight_search(args) -> int:
     search = exhaustive_search if args.mode == "exhaustive" else stochastic_search
     witnesses = search(search_cfg)
     producer = _producer(
-        args, mode=args.mode, budget=search_cfg.budget, k=args.k, seed=search_cfg.seed
+        mode=args.mode, budget=search_cfg.budget, k=args.k, seed=search_cfg.seed
     )
     _emit_witness_records(args, witnesses, producer, store=not args.no_store)
     summary = {"command": "haight-search", "k": args.k, "count": len(witnesses)}
@@ -225,16 +225,13 @@ def cmd_haight_search(args) -> int:
 
 
 def cmd_haight_verify(args) -> int:
-    from pathlib import Path
-
     from .haight import HaightWitness, verify_witness
     from .verdicts import verify_haight_sequence
 
-    path = Path(args.file)
-    if not path.exists():
-        raise ValueError(f"no such file: {path}")
+    with open(args.file, encoding="utf-8") as f:
+        text = f.read()
     witnesses: list[HaightWitness] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -285,7 +282,7 @@ def cmd_haight_minimal(args) -> int:
     else:
         n, witness = found
         line = f"minimal modulus for k={args.k}: n={n}"
-        producer = _producer(args, mode="exhaustive", k=args.k)
+        producer = _producer(mode="exhaustive", k=args.k)
         _emit_witness_records(args, [witness], producer, store=not args.no_store)
     emit(args, {"command": "haight-minimal", "k": args.k, "cap": args.cap, "n": n}, [line])
     return 0
@@ -294,7 +291,7 @@ def cmd_haight_minimal(args) -> int:
 def cmd_lemma1_xi(args) -> int:
     from .store import make_xi_record
 
-    record = make_xi_record(args.m, producer=_producer(args), created_at=_timestamp(args))
+    record = make_xi_record(args.m, producer=_producer(), created_at=_timestamp(args))
     p = record.payload
     emit(args, {"command": "lemma1-xi", **p}, [f"xi({p['m']}) = {p['xi']}", f"Xi({p['m']}) = {p['Xi']}"])
     if args.store:

@@ -64,10 +64,8 @@ def _packed_mask(n: int, members: Iterable[int]) -> int:
     for dense sets at large n; one byte per residue, read as a base-2
     numeral, is not.
     """
-    if n > MAX_MODULUS:  # the message CyclicSet gives, before a huge allocation
+    if not 1 <= n <= MAX_MODULUS:  # the message CyclicSet gives, before a huge allocation
         raise ValueError(f"modulus must be in [1, {MAX_MODULUS}], got {n}")
-    if n < 1:
-        return 0
     bits = bytearray(n)
     for a in members:
         bits[a % n] = 1
@@ -300,8 +298,6 @@ class CyclicSet(Value):
     @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> "CyclicSet":
         """Build from residues; values are reduced mod ``modulus``."""
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
         return cls(modulus, _packed_mask(modulus, members))
 
     @classmethod

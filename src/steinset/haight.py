@@ -196,6 +196,8 @@ class SearchConfig(Value):
                 f"stochastic modulus range {self.n_range} exceeds canonical cap "
                 f"{CANONICAL_MAX_MODULUS}"
             )
+        if self.mode == "exhaustive" and hi > EXHAUSTIVE_CAP:
+            raise ValueError(f"modulus range {self.n_range} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if self.max_set_size is not None and self.max_set_size < 1:
@@ -312,8 +314,6 @@ def exhaustive_search(cfg: SearchConfig) -> list[HaightWitness]:
     if cfg.mode != "exhaustive":
         raise ValueError(f"config mode is {cfg.mode!r}, expected 'exhaustive'")
     lo, hi = cfg.n_range
-    if hi > EXHAUSTIVE_CAP:
-        raise ValueError(f"modulus range {cfg.n_range} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
     out: list[HaightWitness] = []
     for n in range(lo, hi + 1):
         out.extend(_scan_modulus(n, cfg.k, cfg.max_set_size))

@@ -244,8 +244,6 @@ def independence_check(
     family a failure would mean the thresholds themselves are wrong, which
     is exactly what this check cross-validates.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     xi, big_xi = xi_sequence(m)
     # per set: (points, points inside [-Xi, Xi]) from its listed indices
     sizes = [

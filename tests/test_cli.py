@@ -234,6 +234,11 @@ def test_file_errors_exit_2_with_one_line_and_no_traceback(capsys, tmp_path):
     code, out, err = run(capsys, "haight", "verify", str(tmp_path))
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    # a witness file that does not exist (FileNotFoundError)
+    missing = tmp_path / "missing.jsonl"
+    code, out, err = run(capsys, "haight", "verify", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
     # a store directory that cannot be created: below a regular file, and a
     # dangling symbolic link (os.open misses, then mkdir fails)
     (tmp_path / "file").write_text("")

@@ -81,6 +81,10 @@ def test_from_members_and_parse_refuse_bad_input():
         lambda: CyclicSet.from_members(0, [0]),
         lambda: CyclicSet.parse(f"{MAX_MODULUS + 1}:{{0}}"),
         lambda: CyclicSet.parse("0:{}"),
+    ):
+        with pytest.raises(ValueError, match=r"modulus must be in \[1, "):
+            build()
+    for build in (
         lambda: CyclicSet.parse("5:{1,5}"),
         lambda: CyclicSet.parse("5:{1,x}"),
     ):

@@ -525,8 +525,9 @@ def test_stochastic_range_beyond_canonical_cap_rejected():
     SearchConfig(k=2, n_range=(cap, cap), mode="stochastic")
     with pytest.raises(ValueError, match="canonical cap"):
         SearchConfig(k=2, n_range=(cap - 1, cap + 1), mode="stochastic")
-    # exhaustive mode has its own, lower cap, checked by exhaustive_search
-    SearchConfig(k=2, n_range=(cap + 1, cap + 1))
+    # exhaustive mode has its own, lower cap
+    with pytest.raises(ValueError, match="exhaustive cap"):
+        SearchConfig(k=2, n_range=(EXHAUSTIVE_CAP + 1, EXHAUSTIVE_CAP + 1))
 
 
 def test_mode_mismatch_rejected():

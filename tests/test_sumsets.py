@@ -407,11 +407,6 @@ def test_saturating_random_operands_skip_the_convolution(monkeypatch):
     n = 65536
     calls = []
     monkeypatch.setattr(
-        sumsets,
-        "sumset_convolution",
-        lambda a, b: calls.append((a, b)) or sumset_convolution(a, b),
-    )
-    monkeypatch.setattr(
         sumsets, "_convolution", lambda a, b, n: calls.append((a, b)) or 0
     )
     rng = random.Random(3)
