@@ -41,7 +41,7 @@ with the k-fold core sumsets.kfold_mask that canonical_witness uses too.
 from __future__ import annotations
 
 import weakref
-from typing import Literal
+from typing import Iterator, Literal
 
 from .groups import (
     CANONICAL_MAX_MODULUS,
@@ -245,8 +245,6 @@ def _scan_modulus(
     evaluates a distinct mask containing 0, so a budget >= 2^(n-1) never
     stops the walk.
     """
-    if n == 1:
-        return []  # Z_1 has only the full subset, never a witness
     full = (1 << n) - 1
     seen: set[int] = set()
     reps: set[int] = set()
@@ -306,31 +304,31 @@ def _scan_modulus(
     return [canonical_witness(k, CyclicSet(n, m)) for m in sorted(reps)]
 
 
+def _scans(cfg: SearchConfig, mode: str) -> Iterator[tuple[int, list[HaightWitness]]]:
+    """(n, witness classes at n) for each modulus of cfg.n_range, in order;
+    in stochastic mode each modulus draws from its own seeded stream."""
+    if cfg.mode != mode:
+        raise ValueError(f"config mode is {cfg.mode!r}, expected {mode!r}")
+    lo, hi = cfg.n_range
+    for n in range(lo, hi + 1):
+        rng = Xorshift64Star(modulus_stream_seed(cfg.seed, n)) if mode == "stochastic" else None
+        yield n, _scan_modulus(n, cfg.k, cfg.max_set_size, rng, cfg.budget)
+
+
 def exhaustive_search(cfg: SearchConfig) -> list[HaightWitness]:
     """Every witness class in n_range, canonically deduplicated and sorted.
 
     Deterministic; result is sorted by (modulus, canonical mask).
     """
-    if cfg.mode != "exhaustive":
-        raise ValueError(f"config mode is {cfg.mode!r}, expected 'exhaustive'")
-    lo, hi = cfg.n_range
-    out: list[HaightWitness] = []
-    for n in range(lo, hi + 1):
-        out.extend(_scan_modulus(n, cfg.k, cfg.max_set_size))
-    return out
+    return [w for _, found in _scans(cfg, "exhaustive") for w in found]
 
 
 def minimal_modulus(k: int, cap: int) -> tuple[int, HaightWitness] | None:
     """Least modulus n <= cap admitting a (k, n) witness, with one representative."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if cap > EXHAUSTIVE_CAP:
-        raise ValueError(f"cap {cap} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    for n in range(1, cap + 1):
-        witnesses = _scan_modulus(n, k, None)
-        if witnesses:
-            return n, witnesses[0]
-    return None
+    # SearchConfig checks k and the exhaustive cap; Z_1 has no witness, so
+    # a cap below 1 scans it alone and finds none
+    scans = _scans(SearchConfig(k=k, n_range=(1, max(cap, 1))), "exhaustive")
+    return next(((n, found[0]) for n, found in scans if found), None)
 
 
 def stochastic_search(cfg: SearchConfig) -> list[HaightWitness]:
@@ -343,11 +341,4 @@ def stochastic_search(cfg: SearchConfig) -> list[HaightWitness]:
     returns exactly the exhaustive classes at n.  Like exhaustive_search,
     it returns the walk's output unchecked.
     """
-    if cfg.mode != "stochastic":
-        raise ValueError(f"config mode is {cfg.mode!r}, expected 'stochastic'")
-    lo, hi = cfg.n_range
-    out: list[HaightWitness] = []
-    for n in range(lo, hi + 1):
-        rng = Xorshift64Star(modulus_stream_seed(cfg.seed, n))
-        out.extend(_scan_modulus(n, cfg.k, cfg.max_set_size, rng, cfg.budget))
-    return out
+    return [w for _, found in _scans(cfg, "stochastic") for w in found]

@@ -31,6 +31,10 @@ def test_parse_signs_forms():
     assert parse_signs("1,-1,1") == (1, -1, 1)
     with pytest.raises(Exception):
         parse_signs("+2")
+    with pytest.raises(ValueError, match="empty sign vector"):
+        parse_signs("")
+    with pytest.raises(ValueError, match="bad sign entry '2'"):
+        parse_signs("+1,2")
 
 
 def test_sumset_command(capsys):
@@ -227,6 +231,20 @@ def test_usage_errors_exit_2(capsys):
     for k in ("0", "-2"):
         code, out, err = run(capsys, "haight", "minimal", k, "--cap", "6", "--no-store")
         assert code == 2 and out == "" and f"k must be >= 1, got {k}" in err
+    code, out, err = run(capsys, "haight", "minimal", "2", "--cap", "41", "--no-store")
+    assert (code, out, err) == (2, "", "error: modulus range (1, 41) exceeds exhaustive cap 40\n")
+    code, out, err = run(capsys, "haight", "search", "2", "--n-range", "5-9", "--no-store")
+    assert (code, out, err) == (2, "", "error: bad modulus range '5-9', expected LO..HI\n")
+
+
+def test_haight_minimal_without_a_witness(capsys, tmp_path):
+    store = tmp_path / "store"
+    argv = ("--store-dir", str(store), "haight", "minimal", "3", "--cap", "6")
+    assert run(capsys, *argv) == (0, "no witness for k=3 with modulus <= 6\n", "")
+    code, objs, err = run_json(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert objs == [{"cap": 6, "command": "haight-minimal", "k": 3, "n": None}]
+    assert not store.exists()  # nothing found, nothing stored
 
 
 def test_file_errors_exit_2_with_one_line_and_no_traceback(capsys, tmp_path):

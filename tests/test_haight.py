@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -63,6 +64,8 @@ def test_verify_witness_examples():
     assert not ok and "empty" in reason
     ok, reason = verify_witness(witness(0, 7, [0, 1, 3], 5))
     assert not ok
+    ok, reason = verify_witness(witness(2, 7, [0, 1, 3], 7))
+    assert (ok, reason) == (False, "certificate 7 out of range for modulus 7")
 
 
 def test_verify_witness_matches_naive_sums():
@@ -140,8 +143,13 @@ def test_modulus_6_admits_an_order_2_witness():
 
 
 def test_exhaustive_search_cap():
-    with pytest.raises(ValueError):
-        exhaustive_search(SearchConfig(k=2, n_range=(1, EXHAUSTIVE_CAP + 1)))
+    # refused where the config is built: without the check, the uncapped k=2
+    # scans up to n = 41 would run for minutes
+    message = re.escape(f"modulus range (1, {EXHAUSTIVE_CAP + 1}) exceeds exhaustive cap {EXHAUSTIVE_CAP}")
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(k=2, n_range=(1, EXHAUSTIVE_CAP + 1))
+    with pytest.raises(ValueError, match=message):
+        minimal_modulus(2, EXHAUSTIVE_CAP + 1)
 
 
 def test_exhaustive_matches_brute_oracle():
@@ -356,9 +364,10 @@ def test_minimal_modulus_values():
     assert found is not None and found[0] == 6
     assert found[1].subset == cs(6, [0, 1, 3])
     assert minimal_modulus(5, 4) is None
-    for k in (0, -2):
+    assert minimal_modulus(2, 0) is None and minimal_modulus(2, -3) is None
+    for k, cap in ((0, 6), (-2, 6), (0, 0)):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            minimal_modulus(k, 6)
+            minimal_modulus(k, cap)
 
 
 def test_downward_closure_of_witnesses():
@@ -531,10 +540,16 @@ def test_stochastic_range_beyond_canonical_cap_rejected():
 
 
 def test_mode_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="config mode is 'stochastic', expected 'exhaustive'"):
         exhaustive_search(SearchConfig(k=2, n_range=(2, 3), mode="stochastic"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="config mode is 'exhaustive', expected 'stochastic'"):
         stochastic_search(SearchConfig(k=2, n_range=(2, 3), mode="exhaustive"))
+    with pytest.raises(ValueError, match="unknown mode 'random'"):
+        SearchConfig(k=2, n_range=(2, 3), mode="random")
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        SearchConfig(k=2, n_range=(2, 3), mode="stochastic", budget=-1)
+    with pytest.raises(ValueError, match="max_set_size must be >= 1, got 0"):
+        SearchConfig(k=2, n_range=(2, 3), max_set_size=0)
     with pytest.raises(ValueError):
         SearchConfig(k=0, n_range=(1, 2))
     with pytest.raises(ValueError):

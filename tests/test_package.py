@@ -91,6 +91,11 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv, modules, code):
     [
         ("store", "StoreVerificationError", ValueError, "verification failure",
          lambda: canonical_payload("no-such-kind", {})),
+        ("store", "StoreVerificationError", ValueError, "verification failure",
+         lambda: canonical_payload("verdict", {"op": "no-such-op"})),
+        # xi(3) = 3 is right, so only the Xi check can refuse it
+        ("store", "StoreVerificationError", ValueError, "verification failure",
+         lambda: canonical_payload("xi", {"m": 3, "xi": 3, "Xi": "258"})),
         ("verdicts", "NotSymmetricError", ValueError, "verification failure",
          lambda: sym_verdict(SeqSpec.parse("cycle=[7:{0,1,3}]"), 2)),
         ("verdicts", "WitnessChainError", ValueError, "verification failure",
@@ -98,7 +103,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv, modules, code):
         ("thick", "BudgetExceededError", RuntimeError, "refused",
          lambda: independence_check(ThickFamilySpec.parse("sets=[{1,4},{2},{3}] a_max=4"), 3, 10)),
     ],
-    ids=["StoreVerificationError", "NotSymmetricError", "WitnessChainError", "BudgetExceededError"],
+    ids=["StoreVerificationError", "StoreVerificationError-verdict-op", "StoreVerificationError-Xi",
+         "NotSymmetricError", "WitnessChainError", "BudgetExceededError"],
 )
 def test_error_classes_keep_module_name_and_builtin_base(module, name, base, prefix, trigger):
     cls = getattr(sys.modules[f"steinset.{module}"], name)

@@ -53,6 +53,12 @@ def test_sumset_errors():
         sumset(cs(5, [0]), CyclicSet.empty(5))
     with pytest.raises(EmptySetError):
         sumset_convolution(CyclicSet.empty(5), cs(5, [0]))
+    with pytest.raises(ValueError, match=r"invalid sign counts \(0, 0\)"):
+        signed_product_counts(cs(5, [0]), 0, 0)
+    with pytest.raises(EmptySetError, match="signed product of an empty set"):
+        signed_product_counts(CyclicSet.empty(5), 1, 1)
+    with pytest.raises(EmptySetError, match="iterated sumset of an empty set"):
+        iterated_sumset(CyclicSet.empty(5), 2)
 
 
 def test_iterated_examples():

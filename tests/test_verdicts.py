@@ -82,6 +82,8 @@ def test_sym_verdict_examples():
     with pytest.raises(NotSymmetricError) as err:
         sym_verdict(SeqSpec(prefix=(WINDOW7,), cycle=(SINGER7,)), 2)
     assert err.value.position == 1
+    with pytest.raises(ValueError, match="length must be >= 1, got 0"):
+        sym_verdict(spec, 0)
 
 
 def test_verdict_k0_counts_failing_prefix_tail():
