@@ -32,7 +32,6 @@ from . import __version__
 from .values import SteinsetError
 
 if TYPE_CHECKING:
-    from .haight import HaightWitness
     from .verdicts import Verdict
 
 DEFAULT_STORE_DIR = "steinset-store"
@@ -226,7 +225,7 @@ def cmd_haight_search(args) -> int:
 
 def cmd_haight_verify(args) -> int:
     from .haight import HaightWitness, verify_witness
-    from .verdicts import verify_haight_sequence
+    from .verdicts import WitnessChainError, verify_haight_sequence
 
     with open(args.file, encoding="utf-8") as f:
         text = f.read()
@@ -240,11 +239,12 @@ def cmd_haight_verify(args) -> int:
             witnesses.append(HaightWitness.from_json_obj(payload))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"line {lineno}: malformed witness: {exc}") from exc
-    failures = []
-    for i, w in enumerate(witnesses):
-        ok, reason = verify_witness(w)
-        if not ok:
-            failures.append((i, reason))
+    try:  # a valid k = 1..K chain is verified once, by the chain check
+        report = verify_haight_sequence(witnesses) if witnesses else None
+    except WitnessChainError:  # out of k order or a failing witness: check each
+        report = None
+    checks = [] if report is not None else map(verify_witness, witnesses)
+    failures = [(i, reason) for i, (ok, reason) in enumerate(checks) if not ok]
     obj = {
         "command": "haight-verify",
         "total": len(witnesses),
@@ -253,8 +253,7 @@ def cmd_haight_verify(args) -> int:
     }
     lines = [f"checked {len(witnesses)} witness(es), {len(failures)} invalid"]
     lines += [f"  position {i}: {r}" for i, r in failures]
-    if not failures and _is_complete_chain(witnesses):
-        report = verify_haight_sequence(witnesses)
+    if report is not None:
         obj["sequence"] = {
             "pm2_holds": report.pm2.holds,
             "pm2_class": list(report.pm2.sign_class) if report.pm2.sign_class else None,
@@ -267,10 +266,6 @@ def cmd_haight_verify(args) -> int:
         )
     emit(args, obj, lines)
     return 1 if failures else 0
-
-
-def _is_complete_chain(witnesses: list[HaightWitness]) -> bool:
-    return bool(witnesses) and all(w.k == i + 1 for i, w in enumerate(witnesses))
 
 
 def cmd_haight_minimal(args) -> int:

@@ -238,12 +238,14 @@ def independence_check(
     [-Xi(m), Xi(m)] are outside the guarantee and are skipped.
 
     The tuple count comes from block sizes (module docstring), so a family
-    over ``tuple_cap`` is refused before any tower is built.
+    over ``tuple_cap`` (which must be >= 0) is refused before any tower is built.
 
     A failure returns the zero-sum tuple; on a valid (pairwise disjoint)
     family a failure would mean the thresholds themselves are wrong, which
     is exactly what this check cross-validates.
     """
+    if tuple_cap < 0:
+        raise ValueError(f"tuple cap must be >= 0, got {tuple_cap}")
     xi, big_xi = xi_sequence(m)
     # per set: (points, points inside [-Xi, Xi]) from its listed indices
     sizes = [

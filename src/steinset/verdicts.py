@@ -154,6 +154,13 @@ def eps_verdict(spec: SeqSpec, signs: Sequence[int]) -> Verdict:
     return _run(spec, lambda entry: signed_product(entry, signs).is_full())
 
 
+def _negation_is_translate(entry: CyclicSet) -> bool:
+    """Is -A a translate of A?  O(n): A's bit string reversed is n - 1 - A, a
+    translate of -A, and the translates of A are the windows of the string doubled."""
+    bits = format(entry.mask, f"0{entry.modulus}b")
+    return bits[::-1] in bits + bits
+
+
 def pm_verdict(spec: SeqSpec, m: int) -> Verdict:
     """Does some sign-count class of length m succeed on every cycle entry?
 
@@ -164,7 +171,9 @@ def pm_verdict(spec: SeqSpec, m: int) -> Verdict:
     Only the classes (p, q) with p >= q are scanned: (q, p) gives
     qA - pA = -(pA - qA), which is full at exactly the same entries, and
     (p, q) comes first in the order.  A class stops at its first failing
-    cycle entry.
+    cycle entry.  If (m, 0) first fails at i and -A is a translate A + t of
+    A at every entry up to i, each pA - qA = mA + qt is a translate of mA
+    there, so every class first fails at i and the scan stops.
     """
     if m < 1:
         raise ValueError(f"length must be >= 1, got {m}")
@@ -175,6 +184,8 @@ def pm_verdict(spec: SeqSpec, m: int) -> Verdict:
         failing = next((i for i, entry in enumerate(spec.cycle) if not test(entry)), None)
         if failing is None:
             return Verdict(holds=True, k0=_k0(spec, test), sign_class=(plus, minus))
+        if minus == 0 and all(map(_negation_is_translate, spec.cycle[:failing + 1])):
+            return Verdict(holds=False, witnesses=(failing,))
         first_failures.add(failing)
     return Verdict(holds=False, witnesses=tuple(sorted(first_failures)))
 

@@ -183,6 +183,14 @@ def test_haight_search_records_round_trip_store_format(capsys, tmp_path):
     assert [json.loads(line) for line in stored] == record_lines
 
 
+# the least witness classes for k = 1, 2, 3, in k order
+CHAIN3 = [
+    {"k": 1, "n": 3, "set": [0, 1], "cert": 2},
+    {"k": 2, "n": 6, "set": [0, 1, 3], "cert": 5},
+    {"k": 3, "n": 24, "set": [0, 2, 5, 6, 12, 14, 18], "cert": 3},
+]
+
+
 def test_haight_verify_command(capsys, tmp_path):
     good = tmp_path / "good.jsonl"
     good.write_text(
@@ -219,6 +227,48 @@ def test_haight_verify_command(capsys, tmp_path):
     code, out, err = run(capsys, "haight", "verify", str(coerced))
     assert code == 2 and out == ""
     assert "line 1: malformed witness: k must be an integer, got 2.9" in err
+
+    # output and exit status, both formats: a k = 1..3 chain, the chain with
+    # a certificate in 2A, the chain out of k order, and an empty file
+    for name, witnesses, code_want, table, structured in (
+        ("chain", CHAIN3, 0,
+         "checked 3 witness(es), 0 invalid\n"
+         "chain k=1..3: pm verdict at 2 Holds via (1, 1), all-plus verdicts fail up to m=3\n",
+         '{"command":"haight-verify","failures":[],"sequence":{"ok":true,"pm2_class":[1,1],'
+         '"pm2_holds":true,"tail_failures":{"1":[0,1,2],"2":[1,2],"3":[2]}},"total":3,"valid":3}\n'),
+        ("bad-cert", [CHAIN3[0], {**CHAIN3[1], "cert": 0}, CHAIN3[2]], 1,
+         "checked 3 witness(es), 1 invalid\n  position 1: certificate present in kA\n",
+         '{"command":"haight-verify","failures":[{"position":1,"reason":"certificate present in kA"}],'
+         '"total":3,"valid":2}\n'),
+        ("out-of-order", [CHAIN3[1], CHAIN3[0], CHAIN3[2]], 0,
+         "checked 3 witness(es), 0 invalid\n",
+         '{"command":"haight-verify","failures":[],"total":3,"valid":3}\n'),
+        ("empty", [], 0,
+         "checked 0 witness(es), 0 invalid\n",
+         '{"command":"haight-verify","failures":[],"total":0,"valid":0}\n'),
+    ):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(w) + "\n" for w in witnesses))
+        assert run(capsys, "haight", "verify", str(path)) == (code_want, table, ""), name
+        assert run(capsys, "--output", "structured", "haight", "verify", str(path)) == (
+            code_want, structured, ""), name
+
+
+def test_haight_verify_checks_each_witness_of_a_valid_chain_once(capsys, tmp_path, monkeypatch):
+    import steinset.haight as haight
+
+    calls = []
+    real = haight.verify_witness
+    monkeypatch.setattr(haight, "verify_witness", lambda w: calls.append(w.k) or real(w))
+    chain = tmp_path / "chain.jsonl"
+    chain.write_text("".join(json.dumps(w) + "\n" for w in CHAIN3))
+    assert run(capsys, "haight", "verify", str(chain))[0] == 0
+    assert calls == [1, 2, 3]
+    # a chain the check refuses: each witness is listed by its own check
+    calls.clear()
+    chain.write_text("".join(json.dumps(w) + "\n" for w in CHAIN3[::-1]))
+    assert run(capsys, "haight", "verify", str(chain))[0] == 0
+    assert calls == [3, 2, 1]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -303,6 +353,11 @@ def test_budget_refusal_exits_1(capsys):
     )
     assert code == 1
     assert "refused" in err
+
+
+def test_negative_tuple_cap_is_a_usage_error(capsys):
+    argv = ("lemma1", "independence", "sets=[{1}] a_max=1", "1", "--tuple-cap", "-1")
+    assert run(capsys, *argv) == (2, "", "error: tuple cap must be >= 0, got -1\n")
 
 
 def test_table_output_for_intervals_and_search(capsys):

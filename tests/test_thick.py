@@ -165,6 +165,13 @@ def test_independence_budget_refusal():
         independence_check(spec, 3, tuple_cap=10)
 
 
+def test_independence_rejects_a_negative_cap_before_any_work(monkeypatch):
+    monkeypatch.setattr(thick, "xi_sequence", lambda m: pytest.fail("thresholds computed"))
+    spec = ThickFamilySpec((frozenset({1}),), a_max=1)
+    with pytest.raises(ValueError, match="tuple cap must be >= 0, got -1"):
+        independence_check(spec, 1, tuple_cap=-1)
+
+
 def test_independence_rejects_bad_m():
     spec = ThickFamilySpec((frozenset({1}),), a_max=1)
     with pytest.raises(ValueError):
@@ -189,10 +196,14 @@ def _families(indices, max_sets):
 
 
 def _counted_total(spec, m):
-    """The tuple total that independence_check counts, read from its refusal."""
-    with pytest.raises(BudgetExceededError) as info:
-        independence_check(spec, m, tuple_cap=-1)
-    return int(str(info.value).split()[0])
+    """The tuple total that independence_check counts, read from its refusal
+    at cap 0; a family it does not refuse covers no tuple."""
+    try:
+        result = independence_check(spec, m, tuple_cap=0)
+    except BudgetExceededError as exc:
+        return int(str(exc).split()[0])
+    assert result.passed
+    return result.tuples_checked
 
 
 def test_independence_count_from_blocks_matches_points():

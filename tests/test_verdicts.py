@@ -268,13 +268,59 @@ def test_pm_verdict_scans_half_the_classes_to_the_first_failure(monkeypatch):
         return real(a, plus, minus)
 
     monkeypatch.setattr(verdicts, "signed_product_counts", counted)
-    assert not pm_verdict(example_family_c2n1(8), 7).holds
-    assert calls == [(17, 7, 0), (17, 6, 1), (17, 5, 2), (17, 4, 3)]  # 8 classes, 4 scanned
+    # {0,1,3} is no translate of its negation
+    assert not pm_verdict(SeqSpec.constant(cs(100, [0, 1, 3])), 7).holds
+    assert calls == [(100, 7, 0), (100, 6, 1), (100, 5, 2), (100, 4, 3)]  # 8 classes, 4 scanned
     calls.clear()
     # every entry fails both scanned classes; each stops at entry 0
-    spec = SeqSpec(prefix=(), cycle=(cs(7, [0, 1]), cs(9, [0, 1]), cs(11, [0, 1])))
+    spec = SeqSpec(prefix=(), cycle=(cs(13, [0, 1, 3]), cs(15, [0, 1, 3]), cs(17, [0, 1, 3])))
     assert pm_verdict(spec, 2) == Verdict(holds=False, witnesses=(0,))
-    assert calls == [(7, 2, 0), (7, 1, 1)]
+    assert calls == [(13, 2, 0), (13, 1, 1)]
+    calls.clear()
+    # {-1,0,1} is its own negation, so every class fails where (m, 0) first
+    # does: c2n1 scans one class, not n/2
+    assert pm_verdict(example_family_c2n1(8), 7) == Verdict(holds=False, witnesses=(0,))
+    assert calls == [(17, 7, 0)]
+    calls.clear()
+    spec = SeqSpec(prefix=(), cycle=(cs(3, [0, 1]), cs(8, [0, 1, 3])))
+    assert pm_verdict(spec, 2) == Verdict(holds=False, witnesses=(1,))
+    assert calls == [(3, 2, 0), (8, 2, 0), (3, 1, 1), (8, 1, 1)]  # entry 1 is no translate
+
+
+def test_pm_verdict_matches_the_reference_on_translates_of_the_negation():
+    # -A = A - t for A = H u (t - H); with n even and t odd A has no
+    # symmetry center (symmetry_center needs t = 2c), as {0,1} mod 4
+    from oracles import random_nonempty_members, reference_pm_verdict
+
+    def translate(n, odd=False):
+        half = random_nonempty_members(rng, n)
+        t = rng.randrange(n) | odd
+        return cs(n, half | {(t - x) % n for x in half})
+
+    def negation_is_translate(entry):
+        n, a = entry.modulus, set(entry.members())
+        return any({(-x) % n for x in a} == {(x + t) % n for x in a} for t in range(n))
+
+    kinds = (
+        lambda n: translate(n),
+        lambda n: translate(2 * (n // 2 + 1), odd=True),
+        lambda n: cs(n, random_nonempty_members(rng, n)),
+    )
+    pinned = SeqSpec.constant(cs(4, [0, 1]))
+    assert pinned.cycle[0].symmetry_center() is None
+    assert pm_verdict(pinned, 2) == reference_pm_verdict(pinned, 2) == Verdict(False, witnesses=(0,))
+    rng = random.Random(30)
+    shortcuts = 0
+    for _ in range(2000):
+        spec = SeqSpec(
+            prefix=tuple(rng.choice(kinds)(rng.randrange(1, 10)) for _ in range(rng.randrange(2))),
+            cycle=tuple(rng.choice(kinds)(rng.randrange(1, 12)) for _ in range(rng.randrange(1, 4))),
+        )
+        m = rng.randrange(1, 7)
+        v = pm_verdict(spec, m)
+        assert v == reference_pm_verdict(spec, m), (spec.to_literal(), m)
+        shortcuts += not v.holds and m > 1 and all(map(negation_is_translate, spec.cycle))
+    assert shortcuts > 200
 
 
 def test_pm_verdict_failure_positions_can_differ_per_class():
