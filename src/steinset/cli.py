@@ -240,11 +240,11 @@ def cmd_haight_verify(args) -> int:
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"line {lineno}: malformed witness: {exc}") from exc
     try:  # a valid k = 1..K chain is verified once, by the chain check
-        report = verify_haight_sequence(witnesses) if witnesses else None
-    except WitnessChainError:  # out of k order or a failing witness: check each
+        report, failures = verify_haight_sequence(witnesses), []
+    except WitnessChainError:  # empty, out of k order or a failing witness: check each
         report = None
-    checks = [] if report is not None else map(verify_witness, witnesses)
-    failures = [(i, reason) for i, (ok, reason) in enumerate(checks) if not ok]
+        checks = map(verify_witness, witnesses)
+        failures = [(i, reason) for i, (ok, reason) in enumerate(checks) if not ok]
     obj = {
         "command": "haight-verify",
         "total": len(witnesses),

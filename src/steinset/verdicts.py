@@ -257,7 +257,7 @@ class HaightSequenceReport(Value):
 
 
 class WitnessChainError(SteinsetError, ValueError):
-    """A witness in a k = 1..K chain failed verification; names the position."""
+    """A k = 1..K chain is empty, out of k order or has a failing witness."""
 
 
 def verify_haight_sequence(witnesses: Sequence[HaightWitness]) -> HaightSequenceReport:
@@ -271,7 +271,7 @@ def verify_haight_sequence(witnesses: Sequence[HaightWitness]) -> HaightSequence
     from .haight import verify_witness
 
     if not witnesses:
-        raise ValueError("witness list must be non-empty")
+        raise WitnessChainError("witness list must be non-empty")
     for i, w in enumerate(witnesses):
         if w.k != i + 1:
             raise WitnessChainError(

@@ -197,13 +197,13 @@ def _families(indices, max_sets):
 
 def _counted_total(spec, m):
     """The tuple total that independence_check counts, read from its refusal
-    at cap 0; a family it does not refuse covers no tuple."""
+    at cap 0; a family it does not refuse must count, and check, no tuple."""
     try:
         result = independence_check(spec, m, tuple_cap=0)
     except BudgetExceededError as exc:
         return int(str(exc).split()[0])
-    assert result.passed
-    return result.tuples_checked
+    assert result.passed and result.tuples_checked == 0
+    return 0
 
 
 def test_independence_count_from_blocks_matches_points():
