@@ -33,7 +33,6 @@ _EXPORTS = {
     "WitnessChainError": "verdicts",
     "WitnessStore": "store",
     "Xorshift64Star": "haight",
-    "all_affine_maps": "groups",
     "contains_run": "thick",
     "eps_verdict": "verdicts",
     "example_family_c2n1": "verdicts",

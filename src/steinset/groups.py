@@ -14,7 +14,7 @@ import weakref
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .values import Value, set_field
 
@@ -114,6 +114,17 @@ def negate_mask(mask: int, n: int) -> int:
     """Mask of -A = {-a mod n : a in A}."""
     # bit reversal maps r to n-1-r; rotating by one then gives n-r mod n
     return rotate_mask(_reverse_bits(mask, n), 1, n)
+
+
+def negation_shift(mask: int, n: int) -> tuple[int, int] | None:
+    """(t, p) with -A = A + s exactly for s = t mod p, p the least period
+    of A; None if -A is no translate of A.  O(n): read from residue n - 1,
+    A's bits reversed are n - 1 - A, and their doubling's windows are A + j."""
+    bits = format(mask, f"0{n}b")
+    if (j := (bits + bits).find(bits[::-1])) < 0:
+        return None
+    p = (bits + bits).find(bits, 1)
+    return (j + 1) % p, p
 
 
 class _UnitStack:
@@ -269,13 +280,6 @@ class AffineMap(Value):
         return (self.unit * x + self.shift) % self.modulus
 
 
-def all_affine_maps(n: int) -> Iterator[AffineMap]:
-    """All n*phi(n) affine bijections of Z_n."""
-    for u in units(n):
-        for c in range(n):
-            yield AffineMap(u, c, n)
-
-
 class CyclicSet(Value):
     """A subset of Z_n: ``modulus`` n and a membership bitmask (bit r <=> r in A)."""
 
@@ -381,19 +385,13 @@ class CyclicSet(Value):
         return CyclicSet(self.modulus, self.mask | other.mask)
 
     def symmetry_center(self) -> int | None:
-        """Smallest c with A = {2c - a : a in A}, or None if A has no center.
-
-        Additive reading of symmetry about a point: -A = A - 2c.
-        """
-        n, mask = self.modulus, self.mask
-        if not mask:
+        """Smallest c with A = {2c - a : a in A}, or None if there is none.  O(n)."""
+        if not self.mask:
             raise EmptySetError("symmetry center of the empty set is undefined")
-        # c maps the least member a0 to some member b, so 2c = a0 + b + j*n with
-        # j = 0 or 1: one c per b for odd n, two (c, c + n/2) or none for even n
-        a = _mask_members(mask)
-        twice = sorted({(a[0] + b) % n + j * n for b in a for j in (0, 1)})
-        neg = negate_mask(mask, n)
-        return next((t // 2 for t in twice if t % 2 == 0 and rotate_mask(neg, t, n) == mask), None)
+        if (shift := negation_shift(self.mask, self.modulus)) is None:
+            return None
+        t, p = shift  # -A = A - 2c: 2c = -t mod p, and (p + 1)/2 halves mod an odd p
+        return -t * (p + 1) // 2 % p if p % 2 else None if t % 2 else -t % p // 2
 
     def canonical_form(self) -> "CyclicSet":
         """Least representative of the orbit under all affine maps of Z_n.

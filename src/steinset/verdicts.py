@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .groups import CyclicSet
+from .groups import CyclicSet, negation_shift
 from .sumsets import iterated_sumset, signed_product, signed_product_counts
 from .values import SteinsetError, Value, set_field
 
@@ -154,21 +154,14 @@ def eps_verdict(spec: SeqSpec, signs: Sequence[int]) -> Verdict:
     return _run(spec, lambda entry: signed_product(entry, signs).is_full())
 
 
-def _negation_is_translate(entry: CyclicSet) -> bool:
-    """Is -A a translate of A?  O(n): A's bit string reversed is n - 1 - A, a
-    translate of -A, and the translates of A are the windows of the string doubled."""
-    bits = format(entry.mask, f"0{entry.modulus}b")
-    return bits[::-1] in bits + bits
-
-
 def pm_verdict(spec: SeqSpec, m: int) -> Verdict:
     """Does some sign-count class of length m succeed on every cycle entry?
 
-    Classes are scanned in the sign_count_classes order and the first
+    Classes (p, q), p + q = m, are scanned in descending p and the first
     succeeding one is reported.  On failure, ``witnesses`` collects the
     first failing cycle position of each class.
 
-    Only the classes (p, q) with p >= q are scanned: (q, p) gives
+    Only the classes with p >= q are scanned: (q, p) gives
     qA - pA = -(pA - qA), which is full at exactly the same entries, and
     (p, q) comes first in the order.  A class stops at its first failing
     cycle entry.  If (m, 0) first fails at i and -A is a translate A + t of
@@ -184,7 +177,7 @@ def pm_verdict(spec: SeqSpec, m: int) -> Verdict:
         failing = next((i for i, entry in enumerate(spec.cycle) if not test(entry)), None)
         if failing is None:
             return Verdict(holds=True, k0=_k0(spec, test), sign_class=(plus, minus))
-        if minus == 0 and all(map(_negation_is_translate, spec.cycle[:failing + 1])):
+        if minus == 0 and all(negation_shift(e.mask, e.modulus) is not None for e in spec.cycle[:failing + 1]):
             return Verdict(holds=False, witnesses=(failing,))
         first_failures.add(failing)
     return Verdict(holds=False, witnesses=tuple(sorted(first_failures)))

@@ -123,6 +123,12 @@ def naive_symmetry_center(a, n):
     return None
 
 
+def naive_negation_shifts(a, n):
+    """Every shift s with -A = A + s, in increasing order, trying each s."""
+    neg = frozenset((-x) % n for x in a)
+    return [s for s in range(n) if neg == frozenset((x + s) % n for x in a)]
+
+
 def naive_haight_class_masks(n, k):
     """Canonical masks of every witness class at modulus n, via all 2^n subsets."""
     full = frozenset(range(n))
@@ -279,11 +285,20 @@ def random_nonempty_members(rng, n):
     return members_of(mask, n)
 
 
-def random_symmetric_members(rng, n):
-    """Non-empty set with a symmetry center: seed half union its reflection."""
-    c = rng.randrange(n)
+def random_reflected_members(rng, n, t):
+    """Non-empty H | (t - H) for a random H: its negation is itself minus t."""
     half = random_nonempty_members(rng, n)
-    return frozenset(half) | frozenset((2 * c - x) % n for x in half)
+    return frozenset(half) | frozenset((t - x) % n for x in half)
+
+
+def random_symmetric_members(rng, n):
+    """Non-empty set with a symmetry center c: t = 2c above."""
+    return random_reflected_members(rng, n, 2 * rng.randrange(n))
+
+
+def periodic_members(base, d, n):
+    """B + dZ_n for d dividing n: the union of the cosets of dZ_n through ``base``."""
+    return frozenset(b % d + d * k for b in base for k in range(n // d))
 
 
 class EagerWitnessStore(WitnessStore):

@@ -14,9 +14,9 @@ from steinset.groups import (
     EmptySetError,
     MAX_MODULUS,
     ModulusMismatchError,
-    all_affine_maps,
     canonical_mask,
     largest_gap_images,
+    negation_shift,
     rotate_mask,
     units,
 )
@@ -29,9 +29,12 @@ from oracles import (
     naive_mask,
     naive_canonical_mask,
     naive_negate,
+    naive_negation_shifts,
     naive_orbit,
     naive_symmetry_center,
+    periodic_members,
     random_nonempty_members,
+    random_reflected_members,
     random_symmetric_members,
 )
 
@@ -189,6 +192,45 @@ def test_symmetry_center_matches_oracle_up_to_n_2_to_the_14(n):
             assert c < n // 2
             twin = centered.translate(n // 2)
             assert twin.symmetry_center() == c == naive_symmetry_center(twin.members(), n)
+    # unions of cosets of dZ_n, of a period p dividing d < n (odd p at n = 9,
+    # 10 and 2^14 - 1, even p at n = 4, 10, 64 and the powers of two above):
+    # a coset, random cosets, and the cosets through H | (t - H) mod d
+    for d in (d for d in range(1, n) if n % d == 0 and n // d <= size):
+        count = size // (n // d)
+        half = rng.sample(range(d), rng.randint(1, max(1, count // 2)))
+        t = rng.randrange(d)
+        for base in ([rng.randrange(d)], rng.sample(range(d), rng.randint(1, min(d, count))),
+                     half + [t - x for x in half]):
+            case = periodic_members(base, d, n)
+            assert CyclicSet.from_members(n, case).symmetry_center() == naive_symmetry_center(case, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 10, 12, 16, 30, 48])
+def test_negation_shift_matches_the_shift_oracle(n):
+    # -A = A + s exactly for s = t mod p with t < p, or for no s: on the empty
+    # and the full set, random and symmetric sets, H | (t - H) for odd t (no
+    # center at even n), a coset of dZ_n and unions of its cosets
+    rng = random.Random(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    cases = [(), range(n)]
+    for _ in range(30):
+        d = rng.choice(divisors)
+        cases += [
+            random_nonempty_members(rng, n),
+            random_symmetric_members(rng, n),
+            random_reflected_members(rng, n, rng.randrange(n) | 1),
+            periodic_members([rng.randrange(d)], d, n),
+            periodic_members(random_nonempty_members(rng, d), d, n),
+            periodic_members(random_reflected_members(rng, d, rng.randrange(d)), d, n),
+        ]
+    for case in cases:
+        shifts = naive_negation_shifts(case, n)
+        got = negation_shift(naive_mask(case, n), n)
+        if not shifts:
+            assert got is None, sorted(case)
+            continue
+        t, p = got
+        assert t < p and [s for s in range(n) if s % p == t] == shifts, sorted(case)
 
 
 def test_canonical_examples():
@@ -417,7 +459,6 @@ def test_affine_apply_matches_oracle_on_dense_sets():
 def test_units_and_affine_count():
     assert units(1) == (0,)
     assert units(12) == (1, 5, 7, 11)
-    assert len(list(all_affine_maps(12))) == 4 * 12
 
 
 def test_rotate_mask_wraps():

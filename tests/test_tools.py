@@ -1,7 +1,8 @@
 """The benchmark tools under tools/: their shared A/B rule, that each one starts,
-and the kernel labels of bench_sumset."""
+the kernel labels of bench_sumset and the one record of bench_cli."""
 
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,26 @@ def test_tool_refuses_an_out_file_in_a_missing_directory(tool, tmp_path):
     assert proc.stderr.startswith("usage:")
     assert "does not exist" in proc.stderr
     assert not out.parent.exists()
+
+
+def test_bench_cli_writes_only_its_out_file(bench_common, tmp_path):
+    # the record of a session command and of the usage error, from made-up
+    # times: no CLI process is spawned
+    import bench_cli
+
+    out = tmp_path / "BENCH_x.json"
+    labels = ["sumset 7:{0,1,3} 7:{0,1,3}", " ".join(bench_cli.ERROR_ARGV)]
+    times = [[BEFORE, _shifted(-5)]] * 2
+    peaks = [[[20.0] * 10, [20.5] * 10]] * 2
+    modules = ([["steinset.groups"]] * 2, [["steinset.groups"]] * 2)
+    error = b"error: malformed set literal: 'nonsense'\n"
+    bench_cli.write(out, "0" * 40, labels, times, peaks, modules, BEFORE, error)
+    assert list(tmp_path.iterdir()) == [out]
+    record = json.loads(out.read_text())
+    assert [c["command"] for c in record["commands"]] == labels[:1]
+    assert record["error_path"]["argv"] == bench_cli.ERROR_ARGV
+    assert record["error_path"]["stderr"] == error.decode()
+    assert record["error_path"]["ms"]["verdict"] == "faster"
 
 
 @pytest.fixture

@@ -289,22 +289,33 @@ def test_pm_verdict_scans_half_the_classes_to_the_first_failure(monkeypatch):
 
 def test_pm_verdict_matches_the_reference_on_translates_of_the_negation():
     # -A = A - t for A = H u (t - H); with n even and t odd A has no
-    # symmetry center (symmetry_center needs t = 2c), as {0,1} mod 4
-    from oracles import random_nonempty_members, reference_pm_verdict
+    # symmetry center (symmetry_center needs t = 2c), as {0,1} mod 4.  A
+    # union of cosets of dZ_n has a period dividing d < n (odd or even), and
+    # one or two cosets are always a translate of their negation
+    from oracles import (
+        naive_negation_shifts,
+        periodic_members,
+        random_nonempty_members,
+        random_reflected_members,
+        reference_pm_verdict,
+    )
 
-    def translate(n, odd=False):
-        half = random_nonempty_members(rng, n)
-        t = rng.randrange(n) | odd
-        return cs(n, half | {(t - x) % n for x in half})
+    def reflected(n, odd=False):
+        return cs(n, random_reflected_members(rng, n, rng.randrange(n) | odd))
 
-    def negation_is_translate(entry):
-        n, a = entry.modulus, set(entry.members())
-        return any({(-x) % n for x in a} == {(x + t) % n for x in a} for t in range(n))
+    def cosets(n, count=0):
+        d = rng.choice([d for d in range(1, n) if n % d == 0] or [1])
+        return cs(n, periodic_members(rng.sample(range(d), count or rng.randint(1, d)), d, n))
+
+    def negations_are_translates(spec):
+        return all(naive_negation_shifts(e.members(), e.modulus) for e in spec.cycle)
 
     kinds = (
-        lambda n: translate(n),
-        lambda n: translate(2 * (n // 2 + 1), odd=True),
+        reflected,
+        lambda n: reflected(2 * (n // 2 + 1), odd=True),
         lambda n: cs(n, random_nonempty_members(rng, n)),
+        lambda n: cosets(n, count=1),
+        cosets,
     )
     pinned = SeqSpec.constant(cs(4, [0, 1]))
     assert pinned.cycle[0].symmetry_center() is None
@@ -319,7 +330,7 @@ def test_pm_verdict_matches_the_reference_on_translates_of_the_negation():
         m = rng.randrange(1, 7)
         v = pm_verdict(spec, m)
         assert v == reference_pm_verdict(spec, m), (spec.to_literal(), m)
-        shortcuts += not v.holds and m > 1 and all(map(negation_is_translate, spec.cycle))
+        shortcuts += not v.holds and m > 1 and negations_are_translates(spec)
     assert shortcuts > 200
 
 

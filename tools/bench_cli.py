@@ -23,9 +23,9 @@ For every command it records, judged by ``bench_common.summary``:
   command loaded (``steinset.cli`` itself runs as ``__main__`` and is not
   listed).
 
-It checks that both sides print the same bytes to stdout and stderr.  The
-session commands go to one JSON file, the usage error to
-``BENCH_error_path.json`` in the same directory:
+It checks that both sides print the same bytes to stdout and stderr.  A
+run writes one JSON file: the session commands under ``commands``, the
+usage error under ``error_path``:
 
     python tools/bench_cli.py REV [--out FILE]
 
@@ -151,6 +151,13 @@ def main() -> None:
             subprocess.run([sys.executable, "-B", "-c", "pass"], check=True)
             bare.append(time.perf_counter() - start)
 
+    write(out, before_sha, labels, times, peaks, modules, bare, error_stderr)
+
+
+def write(out: Path, before_sha: str, labels: list[str], times, peaks, modules,
+          bare: list[float], error_stderr: bytes) -> None:
+    """Judge and print each command's times and peaks, then write the record
+    to ``out``, the only file a run writes; the last command is ERROR_ARGV."""
     commands = []
     for i, label in enumerate(labels):
         ms, mb = summary(times[i], 1e3, 1), summary(peaks[i], 1, 2)
@@ -172,14 +179,8 @@ def main() -> None:
         sum_median_ms_before=total_before,
         sum_median_ms_after=total_after,
         commands=commands,
-    )
-    write_record(
-        out.with_name("BENCH_error_path.json"), before_sha,
-        "L5 the CLI as a process: a usage error, spawn to exit 2",
-        reps=REPS,
-        argv=ERROR_ARGV,
-        stderr=error_stderr.decode(),
-        **{key: value for key, value in error.items() if key != "command"},
+        error_path={"argv": ERROR_ARGV, "stderr": error_stderr.decode(),
+                    **{key: value for key, value in error.items() if key != "command"}},
     )
 
 
