@@ -33,7 +33,6 @@ _EXPORTS = {
     "WitnessChainError": "verdicts",
     "WitnessStore": "store",
     "Xorshift64Star": "haight",
-    "contains_run": "thick",
     "eps_verdict": "verdicts",
     "example_family_c2n1": "verdicts",
     "exhaustive_search": "haight",
@@ -43,7 +42,6 @@ _EXPORTS = {
     "pm_product": "sumsets",
     "pm_verdict": "verdicts",
     "power_tower": "thick",
-    "sign_count_classes": "sumsets",
     "signed_product": "sumsets",
     "signed_product_counts": "sumsets",
     "stochastic_search": "haight",

@@ -137,6 +137,13 @@ def _canonical_haight_payload(payload: dict) -> dict:
     return canonical_witness(witness.k, witness.subset.canonical_form()).to_json_obj()
 
 
+def _typed(value: Any, json_type: type, name: str) -> Any:
+    """``value`` if its type is exactly ``json_type`` (so a bool is no int); else TypeError."""
+    if type(value) is not json_type:
+        raise TypeError(f"{name} must be {json_type.__name__}, got {value!r}")
+    return value
+
+
 def _canonical_verdict_payload(payload: dict) -> dict:
     from .verdicts import VERDICTS, SeqSpec
 
@@ -144,9 +151,12 @@ def _canonical_verdict_payload(payload: dict) -> dict:
     if op not in VERDICTS:
         raise StoreVerificationError(f"unknown verdict op {op!r}")
     spec = SeqSpec.parse(payload["spec"])
-    param = tuple(payload["signs"]) if op == "eps" else int(payload["m"])
+    if op == "eps":
+        param = tuple(_typed(s, int, "sign") for s in _typed(payload["signs"], list, "signs"))
+    else:
+        param = _typed(payload["m"], int, "m")
     verdict = VERDICTS[op](spec, param)
-    if "holds" in payload and bool(payload["holds"]) != verdict.holds:
+    if "holds" in payload and _typed(payload["holds"], bool, "holds") != verdict.holds:
         raise StoreVerificationError(
             f"stored verdict claims holds={payload['holds']} but recomputation says {verdict.holds}"
         )
@@ -154,11 +164,11 @@ def _canonical_verdict_payload(payload: dict) -> dict:
 
 
 def _canonical_xi_payload(payload: dict) -> dict:
-    m = int(payload["m"])
+    m = _typed(payload["m"], int, "m")
     canon = _xi_payload(m)
-    if "xi" in payload and int(payload["xi"]) != canon["xi"]:
+    if "xi" in payload and _typed(payload["xi"], int, "xi") != canon["xi"]:
         raise StoreVerificationError(f"xi mismatch for m={m}: stored {payload['xi']}, computed {canon['xi']}")
-    if "Xi" in payload and str(payload["Xi"]) != canon["Xi"]:
+    if "Xi" in payload and _typed(payload["Xi"], str, "Xi") != canon["Xi"]:
         raise StoreVerificationError(f"Xi mismatch for m={m}")
     return canon
 

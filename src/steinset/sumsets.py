@@ -275,14 +275,3 @@ def pm_product(a: CyclicSet, m: int) -> CyclicSet:
         raise EmptySetError("pm product of an empty set")
     n = a.modulus
     return _result(n, kfold_mask(a.mask | negate_mask(a.mask, n), m, n))
-
-
-def sign_count_classes(m: int) -> list[tuple[int, int]]:
-    """The m+1 sign-count classes (p, q) with p + q = m, ordered by descending p.
-
-    Each class stands for every length-m sign vector with p entries equal
-    to +1, which all yield the same signed product in an abelian group.
-    """
-    if m < 1:
-        raise ValueError(f"length must be >= 1, got {m}")
-    return [(m - q, q) for q in range(m + 1)]

@@ -116,9 +116,6 @@ class BigInterval(Value):
         base = power_tower(a)
         return cls(base - a, base + a, a)
 
-    def run_length(self) -> int:
-        return self.hi - self.lo + 1
-
 
 class ThickFamilySpec(Value):
     """Pairwise disjoint, non-empty index sets plus the expansion bound a_max.
@@ -186,20 +183,6 @@ def thick_intervals(spec: ThickFamilySpec) -> list[list[BigInterval]]:
         [BigInterval.from_index(a) for a in sorted(s) if a <= spec.a_max]
         for s in spec.index_sets
     ]
-
-
-def contains_run(index_set: Iterable[int], run_length: int) -> int | None:
-    """Least listed index whose block holds a run of ``run_length``, if any.
-
-    A block for index a is 2a + 1 long; None means the listed part of the
-    set is too small and the expansion bound must grow.
-    """
-    if run_length < 1:
-        raise ValueError(f"run length must be >= 1, got {run_length}")
-    for a in sorted(index_set):
-        if 2 * a + 1 >= run_length:
-            return a
-    return None
 
 
 class IndependenceCounterexample(Value):

@@ -201,15 +201,26 @@ def test_haight_residues_out_of_range_are_refused(tmp_path):
     assert "residue 7 out of range for modulus 7" in report.failures[0][1]
 
 
-def test_haight_payloads_must_hold_json_integers(tmp_path):
-    # int() would store this as {"cert":5,"k":2,"n":7,"set":[0,1,3]}
-    coerced = StoreRecord(
-        kind="haight",
-        payload={"k": 2.9, "n": 7.9, "set": [True, False, 3], "cert": "5"},
-        created_at=0,
-    )
+# int(), bool() or str() would store each of these as a different, valid record
+_PM = {"op": "pm", "spec": "cycle=[7:{0,1,3}]"}
+COERCED_PAYLOADS = {
+    # {"cert":5,"k":2,"n":7,"set":[0,1,3]}
+    "haight": ("haight", {"k": 2.9, "n": 7.9, "set": [True, False, 3], "cert": "5"}, "k must be an integer"),
+    # "holds": true, though the payload says "false"
+    "verdict-holds-str": ("verdict", {**_PM, "m": 2, "holds": "false"}, "holds must be bool"),
+    "verdict-m-str": ("verdict", {**_PM, "m": "2", "holds": True}, "m must be int"),
+    "verdict-signs": ("verdict", {**_PM, "op": "eps", "signs": [True, -1.0]}, "sign must be int"),
+    "xi-m-float": ("xi", {"m": 2.7, "xi": 3, "Xi": "259"}, "m must be int"),
+    "xi-m-bool": ("xi", {"m": True, "xi": 2, "Xi": "18"}, "m must be int"),
+    "xi-values": ("xi", {"m": 2, "xi": 3.0, "Xi": 259}, "xi must be int"),
+}
+
+
+@pytest.mark.parametrize("kind,payload,match", COERCED_PAYLOADS.values(), ids=COERCED_PAYLOADS)
+def test_payloads_must_hold_json_types(tmp_path, kind, payload, match):
+    coerced = StoreRecord(kind=kind, payload=payload, created_at=0)
     store = WitnessStore(tmp_path)
-    with pytest.raises(StoreVerificationError, match="k must be an integer"):
+    with pytest.raises(StoreVerificationError, match=match):
         store.append(coerced)
     assert len(store) == 0 and len(WitnessStore(tmp_path)) == 0
 

@@ -10,7 +10,6 @@ from steinset.sumsets import (
     CONVOLUTION_FACTOR,
     iterated_sumset,
     pm_product,
-    sign_count_classes,
     signed_product,
     signed_product_counts,
     sumset,
@@ -93,14 +92,6 @@ def test_pm_examples():
         assert pm_product(sym, m) == iterated_sumset(sym, m)
     with pytest.raises(ValueError):
         pm_product(a, 0)
-
-
-def test_sign_count_classes():
-    assert sign_count_classes(1) == [(1, 0), (0, 1)]
-    assert sign_count_classes(2) == [(2, 0), (1, 1), (0, 2)]
-    assert len(sign_count_classes(3)) == 4
-    with pytest.raises(ValueError):
-        sign_count_classes(0)
 
 
 def test_kernels_agree_randomized():

@@ -7,7 +7,6 @@ from steinset.thick import (
     BigInterval,
     BudgetExceededError,
     ThickFamilySpec,
-    contains_run,
     independence_check,
     power_tower,
     tail_certificate_holds,
@@ -66,7 +65,6 @@ def test_interval_endpoints_exact_at_scale():
         block = BigInterval.from_index(a)
         assert block.lo == 2 ** (2**a) - a
         assert block.hi == 2 ** (2**a) + a
-        assert block.run_length() == 2 * a + 1
 
 
 def test_spec_validation():
@@ -115,14 +113,6 @@ def test_thick_intervals_disjoint_increasing():
     for chunk in per_set:
         for prev, nxt in zip(chunk, chunk[1:]):
             assert prev.hi < nxt.lo
-
-
-def test_contains_run():
-    assert contains_run({1, 2, 3}, 3) == 1
-    assert contains_run({1, 2, 3}, 7) == 3
-    assert contains_run({1}, 100) is None
-    with pytest.raises(ValueError):
-        contains_run({1}, 0)
 
 
 def test_independence_two_singletons_vacuous_pass():
