@@ -51,7 +51,7 @@ from .groups import (
     negate_mask,
 )
 from .sumsets import kfold_mask, sumset_mask
-from .values import Value, set_field
+from .values import Value, json_typed, set_field
 
 # Exhaustive enumeration is refused beyond this modulus: the candidate
 # space grows as 2^(n-1) even after fixing 0 in A, and the gap and kA-full
@@ -131,12 +131,8 @@ class HaightWitness(Value):
     def from_json_obj(cls, obj: dict) -> "HaightWitness":
         """Parse a payload; k, n, cert and the residues must be JSON integers
         (not bools), ``set`` a list, and residues in [0, n), as in a set literal."""
-        k, n, members, cert = obj["k"], obj["n"], obj["set"], obj["cert"]
-        if not isinstance(members, list):
-            raise TypeError(f"set must be a list, got {members!r}")
-        for name, value in (("k", k), ("n", n), ("cert", cert), *(("residue", a) for a in members)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        k, n, cert = (json_typed(obj[name], int, name) for name in ("k", "n", "cert"))
+        members = [json_typed(a, int, "residue") for a in json_typed(obj["set"], list, "set")]
         for a in members:
             if not 0 <= a < n:
                 raise ValueError(f"residue {a} out of range for modulus {n}")

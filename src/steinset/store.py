@@ -1,6 +1,8 @@
 """Append-only JSON-lines cache of verified results.
 
-One record per line: {"kind", "payload", "created_at", "producer"}.  Kinds:
+One record per line: {"kind", "payload", "created_at", "producer"}, of
+JSON types string, object, integer and object; a line with other types is
+one malformed line.  Kinds:
 
 * ``haight``: a witness {"k", "n", "set", "cert"}; the set is stored in
   affine canonical form with a recomputed certificate, and verification of
@@ -50,7 +52,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .values import SteinsetError, Value, set_field
+from .values import SteinsetError, Value, json_typed, set_field
 
 if TYPE_CHECKING:
     from .haight import HaightWitness
@@ -137,13 +139,6 @@ def _canonical_haight_payload(payload: dict) -> dict:
     return canonical_witness(witness.k, witness.subset.canonical_form()).to_json_obj()
 
 
-def _typed(value: Any, json_type: type, name: str) -> Any:
-    """``value`` if its type is exactly ``json_type`` (so a bool is no int); else TypeError."""
-    if type(value) is not json_type:
-        raise TypeError(f"{name} must be {json_type.__name__}, got {value!r}")
-    return value
-
-
 def _canonical_verdict_payload(payload: dict) -> dict:
     from .verdicts import VERDICTS, SeqSpec
 
@@ -152,11 +147,11 @@ def _canonical_verdict_payload(payload: dict) -> dict:
         raise StoreVerificationError(f"unknown verdict op {op!r}")
     spec = SeqSpec.parse(payload["spec"])
     if op == "eps":
-        param = tuple(_typed(s, int, "sign") for s in _typed(payload["signs"], list, "signs"))
+        param = tuple(json_typed(s, int, "sign") for s in json_typed(payload["signs"], list, "signs"))
     else:
-        param = _typed(payload["m"], int, "m")
+        param = json_typed(payload["m"], int, "m")
     verdict = VERDICTS[op](spec, param)
-    if "holds" in payload and _typed(payload["holds"], bool, "holds") != verdict.holds:
+    if "holds" in payload and json_typed(payload["holds"], bool, "holds") != verdict.holds:
         raise StoreVerificationError(
             f"stored verdict claims holds={payload['holds']} but recomputation says {verdict.holds}"
         )
@@ -164,11 +159,11 @@ def _canonical_verdict_payload(payload: dict) -> dict:
 
 
 def _canonical_xi_payload(payload: dict) -> dict:
-    m = _typed(payload["m"], int, "m")
+    m = json_typed(payload["m"], int, "m")
     canon = _xi_payload(m)
-    if "xi" in payload and _typed(payload["xi"], int, "xi") != canon["xi"]:
+    if "xi" in payload and json_typed(payload["xi"], int, "xi") != canon["xi"]:
         raise StoreVerificationError(f"xi mismatch for m={m}: stored {payload['xi']}, computed {canon['xi']}")
-    if "Xi" in payload and _typed(payload["Xi"], str, "Xi") != canon["Xi"]:
+    if "Xi" in payload and json_typed(payload["Xi"], str, "Xi") != canon["Xi"]:
         raise StoreVerificationError(f"Xi mismatch for m={m}")
     return canon
 
@@ -236,15 +231,14 @@ _CANONICAL_LINE = re.compile(
 
 
 def _parse_record(line: str) -> StoreRecord:
-    """The record on a JSON line; ValueError, KeyError or TypeError if malformed."""
+    """The record on a JSON line; ValueError, KeyError or TypeError if malformed,
+    as is a field whose JSON type is not the one ``to_json_line`` writes."""
     obj = json.loads(line)
-    if not isinstance(obj["payload"], dict):
-        raise TypeError("payload is not an object")
     return StoreRecord(
-        kind=obj["kind"],
-        payload=obj["payload"],
-        created_at=int(obj["created_at"]),
-        producer=obj.get("producer", {}),
+        kind=json_typed(obj["kind"], str, "kind"),
+        payload=json_typed(obj["payload"], dict, "payload"),
+        created_at=json_typed(obj["created_at"], int, "created_at"),
+        producer=json_typed(obj.get("producer", {}), dict, "producer"),
     )
 
 

@@ -1,4 +1,5 @@
-"""Base of the immutable value classes, and of the errors the CLI reports as results.
+"""Base of the immutable value classes, of the errors the CLI reports as results,
+and the exact JSON type check that every stored or read record goes through.
 
 A subclass lists its fields in ``__slots__`` (plus ``"__weakref__"`` if it
 must be weakly referenceable) and sets them in its own ``__init__`` with
@@ -15,6 +16,13 @@ from operator import attrgetter
 
 # sets a field inside __init__, where Value.__setattr__ would refuse it
 set_field = object.__setattr__
+
+
+def json_typed(value, json_type: type, name: str):
+    """``value`` if its type is exactly ``json_type`` (so a bool is no int); else TypeError."""
+    if type(value) is not json_type:
+        raise TypeError(f"{name} must be {json_type.__name__}, got {value!r}")
+    return value
 
 
 class SteinsetError(Exception):

@@ -308,7 +308,9 @@ class EagerWitnessStore(WitnessStore):
     text of canonical lines: json.loads on each line, keyed on the payload
     re-serialized with sorted keys.  Like the store, it keeps each line.
     A line holding a byte that is not UTF-8 (a lone surrogate after the
-    store's decode) fails json.loads on its strict encoding.
+    store's decode) fails json.loads on its strict encoding, and a line
+    whose kind is not a string, payload or producer not an object, or
+    created_at not an int (a bool is none) is malformed.
     """
 
     def _add_lines(self, lines):
@@ -317,13 +319,20 @@ class EagerWitnessStore(WitnessStore):
                 continue
             try:
                 obj = json.loads(line.encode("utf-8"))
-                if not isinstance(obj["payload"], dict):
-                    raise TypeError("payload is not an object")
+                producer = obj.get("producer", {})
+                if not (
+                    isinstance(obj["kind"], str)
+                    and isinstance(obj["payload"], dict)
+                    and isinstance(obj["created_at"], int)
+                    and not isinstance(obj["created_at"], bool)
+                    and isinstance(producer, dict)
+                ):
+                    raise TypeError("envelope field of the wrong JSON type")
                 record = StoreRecord(
                     kind=obj["kind"],
                     payload=obj["payload"],
-                    created_at=int(obj["created_at"]),
-                    producer=obj.get("producer", {}),
+                    created_at=obj["created_at"],
+                    producer=producer,
                 )
                 key = record.kind + "|" + json.dumps(
                     record.payload, sort_keys=True, separators=(",", ":")

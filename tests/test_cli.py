@@ -226,7 +226,7 @@ def test_haight_verify_command(capsys, tmp_path):
     coerced.write_text('{"k":2.9,"n":7.9,"set":[true,false,3],"cert":"5"}')
     code, out, err = run(capsys, "haight", "verify", str(coerced))
     assert code == 2 and out == ""
-    assert "line 1: malformed witness: k must be an integer, got 2.9" in err
+    assert "line 1: malformed witness: k must be int, got 2.9" in err
 
     # output and exit status, both formats: a k = 1..3 chain, the chain with
     # a certificate in 2A, the chain out of k order, and an empty file
@@ -474,6 +474,16 @@ def test_store_with_a_line_that_is_not_utf8_opens(capsys, tmp_path):
     lines = path.read_bytes().splitlines()
     assert len(lines) == 3 and lines[1] == b"garbage \xff line"
     assert json.loads(lines[2])["payload"]["m"] == 3
+
+
+def test_store_reverify_counts_a_line_with_a_wrongly_typed_envelope_as_malformed(capsys, tmp_path):
+    # int() would read created_at as 2, and the payload is a valid xi record
+    (tmp_path / "records.jsonl").write_text(
+        '{"created_at": 2.7, "kind": "xi", "payload": {"m": 1, "xi": 2, "Xi": "18"}, "producer": "oops"}\n'
+    )
+    code, out, err = run(capsys, "--output", "structured", "--store-dir", str(tmp_path), "store", "reverify")
+    assert (code, err) == (1, "")
+    assert '"malformed_lines":1' in out and '"total":0' in out
 
 
 # Golden bytes of the four set commands, recorded while each had its own

@@ -205,7 +205,7 @@ def test_haight_residues_out_of_range_are_refused(tmp_path):
 _PM = {"op": "pm", "spec": "cycle=[7:{0,1,3}]"}
 COERCED_PAYLOADS = {
     # {"cert":5,"k":2,"n":7,"set":[0,1,3]}
-    "haight": ("haight", {"k": 2.9, "n": 7.9, "set": [True, False, 3], "cert": "5"}, "k must be an integer"),
+    "haight": ("haight", {"k": 2.9, "n": 7.9, "set": [True, False, 3], "cert": "5"}, "k must be int"),
     # "holds": true, though the payload says "false"
     "verdict-holds-str": ("verdict", {**_PM, "m": 2, "holds": "false"}, "holds must be bool"),
     "verdict-m-str": ("verdict", {**_PM, "m": "2", "holds": True}, "m must be int"),
@@ -275,6 +275,49 @@ def test_load_counts_non_object_payload_as_malformed(tmp_path):
     store = WitnessStore(tmp_path)
     assert len(store) == 0 and store.malformed_lines == 1
     assert store.query(op="pm") == [] and store.reverify_all().failures == []
+
+
+# one envelope field of a line the CLI writes, changed to another JSON type
+ENVELOPE_MUTATIONS = {
+    "created_at-float": ("created_at", 2.7),
+    "created_at-bool": ("created_at", True),
+    "created_at-str": ("created_at", "0"),
+    "producer-str": ("producer", "oops"),
+    "producer-list": ("producer", []),
+    "producer-int": ("producer", 5),
+    "kind-int": ("kind", 5),
+}
+
+
+@pytest.mark.parametrize("field,value", ENVELOPE_MUTATIONS.values(), ids=ENVELOPE_MUTATIONS)
+def test_an_envelope_field_of_another_json_type_is_one_malformed_line(
+    tmp_path, capsys, field, value
+):
+    from steinset.cli import main
+
+    written = tmp_path / "written"
+    assert main(["--store-dir", str(written), "--no-timestamp", "lemma1", "xi", "1", "--store"]) == 0
+    capsys.readouterr()
+    obj = json.loads((written / WitnessStore.FILENAME).read_text(encoding="utf-8"))
+    assert type(obj[field]) is not type(value)
+    obj[field] = value
+    line = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    for name in ("lazy", "eager"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / WitnessStore.FILENAME).write_text(line, encoding="utf-8")
+    store = WitnessStore(tmp_path / "lazy")
+    assert len(store) == 0 and store.malformed_lines == 1
+    assert store.query() == [] and store.reverify_all().failures == []
+    _assert_same_store(store, EagerWitnessStore(tmp_path / "eager"))
+
+
+def test_every_trusted_line_reads_back_to_its_own_text():
+    from steinset.store import _CANONICAL_LINE, _parse_record
+
+    trusted = [line for line in _crafted_store_text().splitlines() if _CANONICAL_LINE.fullmatch(line)]
+    assert len(trusted) == 7
+    for line in trusted:
+        assert _parse_record(line).to_json_line() == line
 
 
 def _reordered(record, indent=None):
@@ -347,14 +390,15 @@ def test_lazy_open_matches_the_eager_loader(tmp_path, tail):
         (tmp_path / name).mkdir()
         (tmp_path / name / WitnessStore.FILENAME).write_text(text, encoding="utf-8")
     lazy, eager = WitnessStore(tmp_path / "lazy"), EagerWitnessStore(tmp_path / "eager")
-    assert len(lazy) == 11 and lazy.malformed_lines == 5 + (tail == "torn")
-    # wrong xi for m = 5, 6, 7 and 0 (read from -0), and the non-canonical set
-    assert [p for p, _ in lazy.reverify_all().failures] == [4, 5, 6, 7, 9]
+    # "created_at":0.5 is malformed: the envelope is typed like the payload
+    assert len(lazy) == 10 and lazy.malformed_lines == 6 + (tail == "torn")
+    # wrong xi for m = 5, 7 and 0 (read from -0), and the non-canonical set
+    assert [p for p, _ in lazy.reverify_all().failures] == [4, 5, 6, 8]
     _assert_same_store(lazy, eager)
     # appending after either open gives the same positions and bytes
     for store in (lazy, eager):
         assert store.append(make_xi_record(3, created_at=9)) == 3  # a duplicate
-        assert store.append(make_xi_record(9, created_at=9)) == 11
+        assert store.append(make_xi_record(9, created_at=9)) == 10
     assert (tmp_path / "lazy" / WitnessStore.FILENAME).read_bytes() == (
         tmp_path / "eager" / WitnessStore.FILENAME
     ).read_bytes()
